@@ -18,17 +18,17 @@ numbers to stderr (text mode) or into a dedicated "seconds" field (JSON).
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import repeat
 
 from treewiener import compose, formulas, oracle
 from treewiener.errors import (
-    EmptyTreeError,
+    InvalidOrderError,
     NotDivisibleError,
-    ParseError,
-    ResourceLimitError,
     TreeWienerError,
 )
 from treewiener.trees import (
@@ -41,27 +41,6 @@ from treewiener.trees import (
 )
 
 FAMILY_CHOICES = [f.value for f in TreeFamily]
-
-
-def _formula_value(family: TreeFamily, k: int) -> int:
-    if family is TreeFamily.BINOMIAL:
-        return formulas.wiener_binomial(k)
-    if family is TreeFamily.FIBONACCI:
-        return formulas.wiener_fib(k)
-    return formulas.wiener_binfib(k)
-
-
-def _recurrence_value(family: TreeFamily, k: int) -> int:
-    # The Fibonacci families have no separate closed form for W; their
-    # recurrence evaluator serves both methods.
-    if family is TreeFamily.BINOMIAL:
-        return formulas.wiener_binomial_recurrence(k)
-    return _formula_value(family, k)
-
-
-def _min_verify_order(family: TreeFamily) -> int:
-    # Binary Fibonacci order 0 is the empty tree: no Wiener index, no summary.
-    return 1 if family is TreeFamily.BINARY_FIBONACCI else family.min_order
 
 
 @dataclass
@@ -87,8 +66,8 @@ class VerificationReport:
 def _verify_order(family: TreeFamily, k: int, node_budget: int) -> VerificationEntry:
     """Compare every evaluation route for one order; oracles only run while
     the materialized tree fits the node budget."""
-    formula = _formula_value(family, k)
-    recurrence = _recurrence_value(family, k)
+    formula = family.spec.closed(k)
+    recurrence = family.spec.recurrence(k)
     replay = compose.replay_family(family, k).w
     n = node_count(family, k)
     values = [formula, recurrence, replay]
@@ -107,22 +86,37 @@ def _verify_order(family: TreeFamily, k: int, node_budget: int) -> VerificationE
     return VerificationEntry(k, n, formula, replay, oracle_value, status)
 
 
-def _verify_order_args(args: tuple) -> VerificationEntry:
-    return _verify_order(*args)
+def _orders(family: TreeFamily, max_order: int) -> range:
+    """Orders a verify or bench sweep covers: every order with a Wiener index."""
+    start = family.spec.min_summary_order
+    if max_order < start:
+        raise InvalidOrderError(f"--max-order must be >= {start} for {family.value}")
+    return range(start, max_order + 1)
 
 
 def run_verify(family: TreeFamily, max_order: int, node_budget: int,
                jobs: int = 1) -> VerificationReport:
-    start = _min_verify_order(family)
-    orders = range(start, max_order + 1)
+    orders = _orders(family, max_order)
     report = VerificationReport(family)
-    if jobs > 1:
-        tasks = [(family, k, node_budget) for k in orders]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            report.entries = list(pool.map(_verify_order_args, tasks))
+    # A forked pool starts all its workers at once, so never ask for more
+    # than there are orders or CPUs.
+    workers = min(jobs, len(orders), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            report.entries = list(pool.map(_verify_order, repeat(family), orders,
+                                           repeat(node_budget)))
     else:
         report.entries = [_verify_order(family, k, node_budget) for k in orders]
     return report
+
+
+def _decimal(value) -> str:
+    """str(value) for stdout; an integer past the interpreter's
+    integer-to-string digit limit is reported as an error, not a crash."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise TreeWienerError(f"cannot print the result in decimal: {exc}") from None
 
 
 def _render_table(rows: list, out) -> None:
@@ -130,6 +124,26 @@ def _render_table(rows: list, out) -> None:
     for r in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip(),
               file=out)
+
+
+def _print_rows(as_json: bool, head: dict, columns: dict, entries: list,
+                tail: dict) -> None:
+    """Print a sweep's entries to stdout, as one JSON object or a table.
+
+    In JSON the object is head, then "entries", then tail; every integer in
+    an entry except its order is a decimal string.  The table shows the
+    entry keys in columns under their headers, with "-" for None.  Every
+    cell is rendered before anything is printed.
+    """
+    if as_json:
+        rows = [{key: _decimal(v) if isinstance(v, int) and key != "order" else v
+                 for key, v in e.items()} for e in entries]
+        print(json.dumps({**head, "entries": rows, **tail}))
+        return
+    rows = [list(columns.values())]
+    for e in entries:
+        rows.append(["-" if e[key] is None else _decimal(e[key]) for key in columns])
+    _render_table(rows, sys.stdout)
 
 
 def _literal_note() -> str:
@@ -142,6 +156,13 @@ def _literal_note() -> str:
     )
 
 
+def _timed(fn, *args) -> tuple:
+    """(fn(*args), wall seconds it took)."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - t0
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -150,14 +171,15 @@ def cmd_closed_form(args) -> int:
     family = TreeFamily(args.family)
     k = args.order
     if args.method == "closed":
-        value = _formula_value(family, k)
+        value = family.spec.closed(k)
     elif args.method == "recurrence":
-        value = _recurrence_value(family, k)
+        value = family.spec.recurrence(k)
     else:
         value = compose.replay_family(family, k).w
+    value = _decimal(value)
     if args.json:
         print(json.dumps({"family": family.value, "order": k,
-                          "method": args.method, "value": str(value)}))
+                          "method": args.method, "value": value}))
     else:
         print(value)
     return 0
@@ -175,50 +197,25 @@ def cmd_compute(args) -> int:
     with open(args.input, "r", encoding="ascii") as fh:
         tree = parse(fh.read())
     algo = oracle.wiener_bfs if args.algo == "bfs" else oracle.wiener_linear
-    print(algo(tree))
+    print(_decimal(algo(tree)))
     return 0
 
 
 def cmd_verify(args) -> int:
     family = TreeFamily(args.family)
-    start = _min_verify_order(family)
-    if args.max_order < start:
-        print(f"error: --max-order must be >= {start} for {family.value}",
-              file=sys.stderr)
-        return 2
     report = run_verify(family, args.max_order, args.node_budget, args.jobs)
     note = _literal_note() if family is TreeFamily.BINARY_FIBONACCI else None
-    if args.json:
-        payload = {
-            "family": family.value,
-            "max_order": args.max_order,
-            "node_budget": args.node_budget,
-            "entries": [
-                {
-                    "order": e.order,
-                    "nodes": str(e.nodes),
-                    "formula_value": str(e.formula_value),
-                    "replay_value": str(e.replay_value),
-                    "oracle_value": None if e.oracle_value is None else str(e.oracle_value),
-                    "status": e.status,
-                }
-                for e in report.entries
-            ],
-            "all_match": report.all_match,
-        }
-        if note:
-            payload["note"] = note
-        print(json.dumps(payload))
-    else:
-        rows = [["order", "nodes", "formula", "replay", "oracle", "status"]]
-        for e in report.entries:
-            rows.append([
-                str(e.order), str(e.nodes), str(e.formula_value),
-                str(e.replay_value),
-                "-" if e.oracle_value is None else str(e.oracle_value),
-                e.status,
-            ])
-        _render_table(rows, sys.stdout)
+    head = {"family": family.value, "max_order": args.max_order,
+            "node_budget": args.node_budget}
+    tail = {"all_match": report.all_match}
+    if note:
+        tail["note"] = note
+    columns = {"order": "order", "nodes": "nodes", "formula_value": "formula",
+               "replay_value": "replay", "oracle_value": "oracle",
+               "status": "status"}
+    entries = [asdict(e) for e in report.entries]
+    _print_rows(args.json, head, columns, entries, tail)
+    if not args.json:
         if note:
             print(note)
         print("result:", "all match" if report.all_match else "MISMATCH")
@@ -227,76 +224,34 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     family = TreeFamily(args.family)
-    start = _min_verify_order(family)
-    if args.max_order < start:
-        print(f"error: --max-order must be >= {start} for {family.value}",
-              file=sys.stderr)
-        return 2
     entries = []
-    for k in range(start, args.max_order + 1):
+    for k in _orders(family, args.max_order):
         n = node_count(family, k)
-        t0 = time.perf_counter()
-        value = _formula_value(family, k)
-        t_closed = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        compose.replay_family(family, k)
-        t_replay = time.perf_counter() - t0
+        value, t_closed = _timed(family.spec.closed, k)
+        _, t_replay = _timed(compose.replay_family, family, k)
         t_linear = t_bfs = None
         if n <= args.node_budget:
             tree = generate(family, k, max_nodes=max(args.node_budget, 1))
-            t0 = time.perf_counter()
-            oracle.wiener_linear(tree)
-            t_linear = time.perf_counter() - t0
+            _, t_linear = _timed(oracle.wiener_linear, tree)
             if n <= args.bfs_budget:
-                t0 = time.perf_counter()
-                oracle.wiener_bfs(tree)
-                t_bfs = time.perf_counter() - t0
+                _, t_bfs = _timed(oracle.wiener_bfs, tree)
         entries.append({
             "order": k, "nodes": n, "value": value,
-            "linear": t_linear, "bfs": t_bfs,
-            "closed_form": t_closed, "replay": t_replay,
+            "linear": "ran" if t_linear is not None else "skipped",
+            "bfs": "ran" if t_bfs is not None else "skipped",
+            "seconds": {"closed_form": t_closed, "replay": t_replay,
+                        "linear": t_linear, "bfs": t_bfs},
         })
-
-    def fmt_s(s):
-        return "-" if s is None else f"{s:.6f}"
-
-    if args.json:
-        print(json.dumps({
-            "family": family.value,
-            "max_order": args.max_order,
-            "entries": [
-                {
-                    "order": e["order"],
-                    "nodes": str(e["nodes"]),
-                    "value": str(e["value"]),
-                    "linear": "ran" if e["linear"] is not None else "skipped",
-                    "bfs": "ran" if e["bfs"] is not None else "skipped",
-                    "seconds": {
-                        "closed_form": e["closed_form"],
-                        "replay": e["replay"],
-                        "linear": e["linear"],
-                        "bfs": e["bfs"],
-                    },
-                }
-                for e in entries
-            ],
-        }))
-    else:
+    head = {"family": family.value, "max_order": args.max_order}
+    columns = {"order": "order", "nodes": "nodes", "value": "wiener",
+               "linear": "linear", "bfs": "bfs"}
+    _print_rows(args.json, head, columns, entries, {})
+    if not args.json:
         # Deterministic surface on stdout; wall times go to stderr.
-        rows = [["order", "nodes", "wiener", "linear", "bfs"]]
-        for e in entries:
-            rows.append([
-                str(e["order"]), str(e["nodes"]), str(e["value"]),
-                "ran" if e["linear"] is not None else "skipped",
-                "ran" if e["bfs"] is not None else "skipped",
-            ])
-        _render_table(rows, sys.stdout)
         trows = [["order", "closed_form_s", "replay_s", "linear_s", "bfs_s"]]
         for e in entries:
-            trows.append([
-                str(e["order"]), fmt_s(e["closed_form"]), fmt_s(e["replay"]),
-                fmt_s(e["linear"]), fmt_s(e["bfs"]),
-            ])
+            trows.append([str(e["order"])] + ["-" if t is None else f"{t:.6f}"
+                                              for t in e["seconds"].values()])
         _render_table(trows, sys.stderr)
     return 0
 
@@ -360,13 +315,7 @@ def main(argv=None) -> int:
     except NotDivisibleError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, EmptyTreeError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TreeWienerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TreeWienerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -80,27 +80,23 @@ def replay_family(family: TreeFamily, k: int) -> TreeSummary:
     root, one join each; the empty order-0 operand is skipped.  Order 0
     itself has no summary (no anchor), so k >= 1 here.
     """
+    floor = family.spec.min_summary_order
+    if k < floor:
+        raise InvalidOrderError(
+            f"{family.value} summaries need order >= {floor}, got {k}"
+        )
     if family is TreeFamily.BINOMIAL:
-        if k < 0:
-            raise InvalidOrderError(f"binomial order must be >= 0, got {k}")
         s = SINGLE
         for _ in range(k):
             s = join(s, s)
         return s
 
     if family is TreeFamily.FIBONACCI:
-        if k < -1:
-            raise InvalidOrderError(f"fibonacci order must be >= -1, got {k}")
         prev, cur = SINGLE, SINGLE  # orders k-2, k-1 rolling forward
         for _ in range(max(k, 0)):
             prev, cur = cur, join(cur, prev)
         return cur
 
-    if k < 1:
-        raise InvalidOrderError(
-            f"binary-fibonacci summaries need order >= 1, got {k} "
-            "(order 0 is the empty tree)"
-        )
     prev, cur = None, SINGLE  # orders i-2 (None = empty), i-1
     for _ in range(k - 1):
         rooted = join(SINGLE, cur)

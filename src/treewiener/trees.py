@@ -16,7 +16,9 @@ order is limited only by the node budget, not call depth.
 """
 
 from enum import Enum
+from typing import Callable, NamedTuple
 
+from treewiener import formulas
 from treewiener.errors import (
     InvalidOrderError,
     ParseError,
@@ -35,8 +37,8 @@ class TreeFamily(Enum):
     BINARY_FIBONACCI = "binary-fibonacci"
 
     @property
-    def min_order(self) -> int:
-        return -1 if self is TreeFamily.FIBONACCI else 0
+    def spec(self) -> "FamilySpec":
+        return _SPECS[self]
 
 
 class RootedTree:
@@ -122,19 +124,12 @@ class RootedTree:
 
 def node_count(family: TreeFamily, k: int) -> int:
     """Closed-form node count, without materializing anything."""
-    _check_order(family, k)
-    if family is TreeFamily.BINOMIAL:
-        return pow2(k)
-    if family is TreeFamily.FIBONACCI:
-        return fib(k + 2)
-    return fib(k + 2) - 1
-
-
-def _check_order(family: TreeFamily, k: int) -> None:
-    if k < family.min_order:
+    spec = family.spec
+    if k < spec.min_order:
         raise InvalidOrderError(
-            f"{family.value} trees are defined for order >= {family.min_order}, got {k}"
+            f"{family.value} trees are defined for order >= {spec.min_order}, got {k}"
         )
+    return spec.nodes(k)
 
 
 def _check_budget(family: TreeFamily, k: int, max_nodes: int) -> int:
@@ -207,16 +202,58 @@ def binary_fibonacci_tree(k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> Roote
     return RootedTree(len(parent), 0, parent, children)
 
 
-_GENERATORS = {
-    TreeFamily.BINOMIAL: binomial_tree,
-    TreeFamily.FIBONACCI: fibonacci_tree,
-    TreeFamily.BINARY_FIBONACCI: binary_fibonacci_tree,
+class FamilySpec(NamedTuple):
+    """Everything that differs between the families, reached as family.spec.
+
+    min_order is the smallest order with a tree; min_summary_order the
+    smallest with a root and hence a Wiener index and an (n, W, D) summary.
+    nodes(k) is the closed-form node count, build(k, max_nodes) the
+    generator, closed(k) and recurrence(k) evaluate W.  The evaluators look
+    formulas.wiener_* up at call time, so replacing a module attribute
+    reaches every caller.
+    """
+
+    min_order: int
+    min_summary_order: int
+    nodes: Callable[[int], int]
+    build: Callable[[int, int], RootedTree]
+    closed: Callable[[int], int]
+    recurrence: Callable[[int], int]
+
+
+# The Fibonacci families' closed forms for W are not implemented yet; their
+# recurrence evaluator serves both methods.
+_SPECS = {
+    TreeFamily.BINOMIAL: FamilySpec(
+        min_order=0,
+        min_summary_order=0,
+        nodes=pow2,
+        build=binomial_tree,
+        closed=lambda k: formulas.wiener_binomial(k),
+        recurrence=lambda k: formulas.wiener_binomial_recurrence(k),
+    ),
+    TreeFamily.FIBONACCI: FamilySpec(
+        min_order=-1,
+        min_summary_order=-1,
+        nodes=lambda k: fib(k + 2),
+        build=fibonacci_tree,
+        closed=lambda k: formulas.wiener_fib(k),
+        recurrence=lambda k: formulas.wiener_fib(k),
+    ),
+    TreeFamily.BINARY_FIBONACCI: FamilySpec(
+        min_order=0,
+        min_summary_order=1,  # order 0 is the empty tree
+        nodes=lambda k: fib(k + 2) - 1,
+        build=binary_fibonacci_tree,
+        closed=lambda k: formulas.wiener_binfib(k),
+        recurrence=lambda k: formulas.wiener_binfib(k),
+    ),
 }
 
 
 def generate(family: TreeFamily, k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedTree:
     """Family-dispatching generator."""
-    return _GENERATORS[family](k, max_nodes)
+    return family.spec.build(k, max_nodes)
 
 
 def serialize(tree: RootedTree) -> str:
@@ -250,6 +287,13 @@ def parse(text: str) -> RootedTree:
             if line.strip():
                 raise ParseError(i, "edge line after a 0-node header")
         return RootedTree.empty()
+    # Each edge takes a line, so a header larger than the input is rejected
+    # before it sizes any allocation.
+    if n - 1 > len(lines) - 1:
+        raise ParseError(
+            len(lines),
+            f"tree on {n} nodes needs {n - 1} edges, more lines than the input has",
+        )
 
     parent = [None] * n
     children = [[] for _ in range(n)]

@@ -153,7 +153,7 @@ def test_criterion_7_composition_algebra_soundness():
     with criterion(7, "replay summaries = (count, BFS Wiener, root distance "
                       "sum) for every family order with <= 5000 nodes"):
         for family in TreeFamily:
-            k = 1 if family is TreeFamily.BINARY_FIBONACCI else family.min_order
+            k = family.spec.min_summary_order
             while node_count(family, k) <= 5000:
                 tree = generate(family, k)
                 s = replay_family(family, k)

@@ -2,11 +2,17 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from treewiener import cli, formulas
+from treewiener import cli, compose, formulas
 from treewiener.errors import NotDivisibleError
+
+# The interpreter's integer-to-string digit limit (0 = none, or Python < 3.11).
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    DIGIT_LIMIT == 0, reason="no integer-to-string digit limit")
 
 
 def run_cli(capsys, argv):
@@ -62,6 +68,34 @@ def test_closed_form_divisibility_violation_exits_3(capsys, monkeypatch):
                                   "--order", "4"])
     assert rc == 3
     assert "internal error" in err
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_closed_form_past_digit_limit_exits_2(capsys, extra):
+    # W of the order-k binomial tree has about 0.6 k decimal digits.
+    rc, out, err = run_cli(capsys, ["closed-form", "--family", "binomial",
+                                    "--order", str(2 * DIGIT_LIMIT)] + extra)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command", ["verify", "bench"])
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_sweep_past_digit_limit_exits_2(capsys, monkeypatch, command, extra):
+    huge = 10 ** DIGIT_LIMIT
+    monkeypatch.setattr(formulas, "wiener_binomial", lambda k: huge)
+    monkeypatch.setattr(formulas, "wiener_binomial_recurrence", lambda k: huge)
+    monkeypatch.setattr(compose, "replay_family",
+                        lambda family, k: SimpleNamespace(w=huge))
+    rc, out, err = run_cli(capsys, [command, "--family", "binomial",
+                                    "--max-order", "2", "--node-budget", "0"]
+                           + extra)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_unknown_family_is_usage_error():
@@ -195,6 +229,33 @@ def test_verify_parallel_matches_sequential(capsys):
     rc2, out2, _ = run_cli(capsys, args + ["--jobs", "2"])
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_verify_jobs_capped_by_orders_and_cpus(capsys, monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    few = ["verify", "--family", "fibonacci", "--max-order", "1"]  # orders -1..1
+    many = ["verify", "--family", "fibonacci", "--max-order", "9"]
+    for args in (few, many):
+        rc, out, _ = run_cli(capsys, args + ["--jobs", "64"])
+        assert rc == 0
+        assert (rc, out) == run_cli(capsys, args)[:2]
+    assert started == [3, 4]
 
 
 def test_verify_detects_mismatch(capsys, monkeypatch):

@@ -109,7 +109,7 @@ def test_replay_invalid_orders():
 
 def test_replay_matches_oracles_small_orders():
     for family in TreeFamily:
-        k = 1 if family is TreeFamily.BINARY_FIBONACCI else family.min_order
+        k = family.spec.min_summary_order
         while node_count(family, k) <= 600:
             tree = generate(family, k)
             s = replay_family(family, k)
@@ -121,7 +121,7 @@ def test_replay_matches_oracles_small_orders():
 
 def test_replay_summaries_respect_coarse_bounds():
     for family in TreeFamily:
-        start = 1 if family is TreeFamily.BINARY_FIBONACCI else family.min_order
+        start = family.spec.min_summary_order
         for k in range(start, start + 40):
             s = replay_family(family, k)
             assert s.d_anchor <= (s.n - 1) ** 2

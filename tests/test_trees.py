@@ -192,6 +192,13 @@ def test_parse_rejects_bad_input():
         parse("")
 
 
+def test_parse_rejects_header_larger_than_input():
+    # Rejected from the line count alone, before anything is sized by n.
+    with pytest.raises(ParseError, match="needs 999999999999 edges") as exc:
+        parse("1000000000000\n0 1\n")
+    assert exc.value.line == 2
+
+
 def test_parse_accepts_nonzero_root():
     t = parse("3\n2 0\n2 1\n")
     assert t.root == 2
