@@ -23,10 +23,12 @@ from treewiener import (
     replay_family,
     wiener_bfs,
     wiener_binfib,
+    wiener_binfib_closed,
     wiener_binfib_literal,
     wiener_binomial,
     wiener_binomial_recurrence,
     wiener_fib,
+    wiener_fib_closed,
 )
 
 print("=" * 72)
@@ -47,25 +49,25 @@ print(f"  W(binomial, k=200) has {len(str(wiener_binomial(k)))} digits "
 
 print()
 print("=" * 72)
-print("Fibonacci trees: rolling recurrence with closed-form distance sums")
+print("Fibonacci trees: closed form, and a rolling recurrence")
 print("=" * 72)
-print(f"{'k':>3} {'nodes':>8} {'D(root)':>12} {'W recur':>14} {'replay':>14} {'brute':>14}")
+print(f"{'k':>3} {'nodes':>8} {'D(root)':>12} {'W closed':>14} {'W recur':>14} {'replay':>14} {'brute':>14}")
 for k in range(0, 13):
     n = node_count(TreeFamily.FIBONACCI, k)
     brute = wiener_bfs(fibonacci_tree(k)) if n <= 1000 else "-"
-    print(f"{k:>3} {n:>8} {d_fib(k):>12} {wiener_fib(k):>14} "
+    print(f"{k:>3} {n:>8} {d_fib(k):>12} {wiener_fib_closed(k):>14} {wiener_fib(k):>14} "
           f"{replay_family(TreeFamily.FIBONACCI, k).w:>14} {brute:>14}")
 
 print()
 print("=" * 72)
 print("Binary Fibonacci trees, and why the recurrence needs a correction")
 print("=" * 72)
-print(f"{'k':>3} {'nodes':>8} {'D(root)':>12} {'corrected':>12} {'literal':>12} {'brute':>12}")
+print(f"{'k':>3} {'nodes':>8} {'D(root)':>12} {'closed':>12} {'corrected':>12} {'literal':>12} {'brute':>12}")
 for k in range(1, 13):
     n = node_count(TreeFamily.BINARY_FIBONACCI, k)
     brute = wiener_bfs(binary_fibonacci_tree(k)) if n <= 1000 else "-"
     literal = wiener_binfib_literal(k) if k >= 3 else "-"
-    print(f"{k:>3} {n:>8} {d_binfib(k):>12} {wiener_binfib(k):>12} "
+    print(f"{k:>3} {n:>8} {d_binfib(k):>12} {wiener_binfib_closed(k):>12} {wiener_binfib(k):>12} "
           f"{literal:>12} {brute:>12}")
 
 print("""

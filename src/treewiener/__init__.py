@@ -1,8 +1,9 @@
 """Exact Wiener indices of binomial, Fibonacci, and binary Fibonacci trees.
 
-Closed forms and O(k)-arithmetic recurrences, a composition algebra over
-(vertex count, Wiener index, root distance sum) summaries, and linear and
-quadratic brute-force oracles to validate every formula against.
+O(log k)-arithmetic closed forms and O(k)-arithmetic recurrences, a
+composition algebra over (vertex count, Wiener index, root distance sum)
+summaries, and linear and quadratic brute-force oracles to validate every
+formula against.
 """
 
 from treewiener.compose import SINGLE, TreeSummary, identify, join, replay_family
@@ -26,10 +27,12 @@ from treewiener.formulas import (
     d_fib_convolution,
     d_fib_recurrence,
     wiener_binfib,
+    wiener_binfib_closed,
     wiener_binfib_literal,
     wiener_binomial,
     wiener_binomial_recurrence,
     wiener_fib,
+    wiener_fib_closed,
     wiener_fib_op_count,
 )
 from treewiener.oracle import distance_sum, wiener_bfs, wiener_linear
@@ -86,10 +89,12 @@ __all__ = [
     "serialize",
     "wiener_bfs",
     "wiener_binfib",
+    "wiener_binfib_closed",
     "wiener_binfib_literal",
     "wiener_binomial",
     "wiener_binomial_recurrence",
     "wiener_fib",
+    "wiener_fib_closed",
     "wiener_fib_op_count",
     "wiener_linear",
 ]

@@ -5,10 +5,11 @@ Subcommands:
   generate      materialize a tree and write it as an edge-list file
   compute       run a brute-force Wiener algorithm on an edge-list file
   verify        sweep orders, comparing formula vs recurrence vs replay vs oracles
-  bench         time the O(k)-arithmetic path against the O(n) and O(n^2) tiers
+  bench         time the closed-form path against the O(n) and O(n^2) tiers
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or input error,
-3 internal invariant violation (a division that should have been exact).
+Exit codes: 0 success, 1 verification mismatch, 2 usage or input error
+(out of memory included), 3 internal invariant violation (a division that
+should have been exact).
 
 All numeric output is exact decimal; JSON mode renders integers as decimal
 strings because the values outgrow every fixed-width type.  Stdout is
@@ -317,6 +318,10 @@ def main(argv=None) -> int:
         return 3
     except (TreeWienerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # Exit 1 is reserved for a verification mismatch.
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -6,9 +6,11 @@ independently computable flavors (closed form, recurrence iteration,
 convolution sum) precisely so tests can play them against one another and
 against the brute-force oracles in treewiener.oracle.
 
-Everything iterates upward from base cases with rolling accumulators; no
-recursion, O(k) big-integer operations per call (the convolution forms are
-O(k^2) and exist only as cross-check identities).
+The closed forms cost O(log k) big-integer multiplications: each is a
+fixed combination of a few Fibonacci numbers, found by fast doubling, and of
+powers of two.  The recurrences iterate upward from base cases with rolling
+accumulators, without recursion, in O(k) big-integer operations per call.
+The convolution forms are O(k^2) and exist only as cross-check identities.
 
 The binary Fibonacci Wiener recurrence is implemented in a corrected form:
 the textbook-style printed recurrence
@@ -154,6 +156,23 @@ def wiener_fib_op_count(k: int) -> int:
     return _wiener_fib_counted(k)[1]
 
 
+def wiener_fib_closed(k: int) -> int:
+    """W of the order-k Fibonacci tree in closed form,
+
+        50*W(k) = (10k-11)*F(2k) + (20k-8)*F(2k+1) + (8-10k)*(-1)^k + 25*F(k),
+
+    in O(log k) big-integer multiplications.  W is C-finite, since sums and
+    products of Fibonacci numbers and polynomials in k are; the identity is
+    pinned against wiener_fib by a finite check (tests/test_formulas.py)."""
+    if k < -1:
+        raise InvalidOrderError(f"fibonacci order must be >= -1, got {k}")
+    if k <= 0:
+        return 0
+    sign = -1 if k & 1 else 1
+    return exact_div((10 * k - 11) * fib(2 * k) + (20 * k - 8) * fib(2 * k + 1)
+                     + (8 - 10 * k) * sign + 25 * fib(k), 50)
+
+
 # ---------------------------------------------------------------------------
 # Binary Fibonacci trees
 # ---------------------------------------------------------------------------
@@ -203,8 +222,10 @@ def wiener_binfib(k: int) -> int:
 
         W(i) = A + W(i-2) + F(i+1)*D(i-2) + (F(i)-1)*D_A + F(i+1)*(F(i)-1).
 
-    At i = 2 the right subtree is empty and the step degenerates to the
-    pendant-root attachment alone, giving the base W(2) = 1.
+    D rolls alongside W by its own recurrence, so a call costs O(k)
+    big-integer operations and never touches the closed forms.  At i = 2
+    the right subtree is empty and the step degenerates to the pendant-root
+    attachment alone, giving the base W(2) = 1.
     """
     if k < 1:
         raise InvalidOrderError(f"binary-fibonacci order must be >= 1, got {k}")
@@ -214,14 +235,32 @@ def wiener_binfib(k: int) -> int:
         return 1
     f = fib_table(k + 1)
     w_prev2, w_prev = 0, 1  # W(1), W(2)
+    d_prev2, d_prev = 0, 1  # D(1), D(2)
     for i in range(3, k + 1):
-        d1 = d_binfib(i - 1)
-        d2 = d_binfib(i - 2)
-        a = w_prev + d1 + f[i + 1] - 1
-        d_a = d1 + f[i + 1] - 1
-        w = a + w_prev2 + f[i + 1] * d2 + (f[i] - 1) * d_a + f[i + 1] * (f[i] - 1)
+        a = w_prev + d_prev + f[i + 1] - 1
+        d_a = d_prev + f[i + 1] - 1
+        w = a + w_prev2 + f[i + 1] * d_prev2 + (f[i] - 1) * d_a + f[i + 1] * (f[i] - 1)
         w_prev2, w_prev = w_prev, w
+        # D(i) = D(i-1) + D(i-2) + F(i+2) - 2, as in d_binfib_recurrence.
+        d_prev2, d_prev = d_prev, d_prev + d_prev2 + f[i + 1] + f[i] - 2
     return w_prev
+
+
+def wiener_binfib_closed(k: int) -> int:
+    """W of the order-k binary Fibonacci tree in closed form,
+
+        50*W(k) = (30k-124)*F(2k) + (50k-197)*F(2k+1) + (22-10k)*(-1)^k
+                  + (30k+155)*F(k) + (40k+175)*F(k+1),
+
+    in O(log k) big-integer multiplications.  The identity is pinned against
+    the corrected recurrence wiener_binfib by a finite check
+    (tests/test_formulas.py)."""
+    if k < 1:
+        raise InvalidOrderError(f"binary-fibonacci order must be >= 1, got {k}")
+    sign = -1 if k & 1 else 1
+    return exact_div((30 * k - 124) * fib(2 * k) + (50 * k - 197) * fib(2 * k + 1)
+                     + (22 - 10 * k) * sign + (30 * k + 155) * fib(k)
+                     + (40 * k + 175) * fib(k + 1), 50)
 
 
 def wiener_binfib_literal(k: int) -> int:

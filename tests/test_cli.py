@@ -61,13 +61,33 @@ def test_closed_form_invalid_order_exits_2(capsys):
     assert "order" in err
 
 
-def test_closed_form_divisibility_violation_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(formulas, "wiener_binfib",
-                        lambda k: (_ for _ in ()).throw(NotDivisibleError(7, 5, 2)))
+def _raises(exc):
+    def evaluator(k):
+        raise exc
+    return evaluator
+
+
+@pytest.mark.parametrize("method,evaluator", [
+    ("closed", "wiener_binfib_closed"),
+    ("recurrence", "wiener_binfib"),
+], ids=["closed", "recurrence"])
+def test_closed_form_divisibility_violation_exits_3(capsys, monkeypatch,
+                                                     method, evaluator):
+    monkeypatch.setattr(formulas, evaluator, _raises(NotDivisibleError(7, 5, 2)))
     rc, _, err = run_cli(capsys, ["closed-form", "--family", "binary-fibonacci",
-                                  "--order", "4"])
+                                  "--order", "4", "--method", method])
     assert rc == 3
     assert "internal error" in err
+
+
+def test_closed_form_out_of_memory_exits_2(capsys, monkeypatch):
+    # The evaluator raises MemoryError itself; nothing large is allocated.
+    monkeypatch.setattr(formulas, "wiener_fib_closed", _raises(MemoryError()))
+    rc, out, err = run_cli(capsys, ["closed-form", "--family", "fibonacci",
+                                    "--order", "4"])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
 
 
 @needs_digit_limit

@@ -14,10 +14,12 @@ from treewiener.formulas import (
     d_fib_convolution,
     d_fib_recurrence,
     wiener_binfib,
+    wiener_binfib_closed,
     wiener_binfib_literal,
     wiener_binomial,
     wiener_binomial_recurrence,
     wiener_fib,
+    wiener_fib_closed,
     wiener_fib_op_count,
 )
 from treewiener.oracle import distance_sum, wiener_bfs
@@ -151,6 +153,7 @@ def test_wiener_fib_anchors(k, expected):
 def test_wiener_fib_matches_enumeration():
     for k, expected in FIB_W.items():
         assert wiener_fib(k) == expected
+        assert wiener_fib_closed(k) == expected
         if k >= -1:
             assert wiener_bfs(fibonacci_tree(k)) == expected
 
@@ -223,6 +226,7 @@ def test_wiener_binfib_anchors(k, expected):
 def test_wiener_binfib_matches_enumeration():
     for k, expected in BINFIB_W.items():
         assert wiener_binfib(k) == expected
+        assert wiener_binfib_closed(k) == expected
         assert wiener_bfs(binary_fibonacci_tree(k)) == expected
 
 
@@ -240,3 +244,93 @@ def test_literal_recurrence_documented_divergence():
         assert wiener_binfib_literal(k) != BINFIB_W[k]
     with pytest.raises(InvalidOrderError):
         wiener_binfib_literal(2)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of both Fibonacci families
+# ---------------------------------------------------------------------------
+
+def test_fibonacci_closed_forms_invalid_orders():
+    with pytest.raises(InvalidOrderError, match="fibonacci order must be >= -1, got -2"):
+        wiener_fib_closed(-2)
+    with pytest.raises(InvalidOrderError,
+                       match="binary-fibonacci order must be >= 1, got 0"):
+        wiener_binfib_closed(0)
+
+
+def _poly_mul(*factors):
+    """Coefficients, highest degree first, of a product of polynomials."""
+    product = [1]
+    for factor in factors:
+        out = [0] * (len(product) + len(factor) - 1)
+        for i, a in enumerate(product):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        product = out
+    return product
+
+
+def _annihilates(poly, values):
+    """True when every len(poly) consecutive values satisfy the recurrence
+    whose characteristic polynomial is poly."""
+    d = len(poly) - 1
+    return all(sum(c * values[i + d - j] for j, c in enumerate(poly)) == 0
+               for i in range(len(values) - d))
+
+
+X2_X_1 = [1, -1, -1]   # x^2 - x - 1: roots phi, psi
+X2_3X_1 = [1, -3, 1]   # x^2 - 3x + 1: roots phi^2, psi^2
+X_PLUS_1 = [1, 1]      # root -1 = phi * psi
+X_MINUS_1 = [1, -1]    # root 1
+
+
+def test_fibonacci_closed_forms_equal_recurrences_finite_proof():
+    """closed == recurrence at every order, by a finite check.
+
+    Closed side.  Each closed form sums terms p(k) * r^k with p of degree
+    <= 1 and r in {phi^2, psi^2, -1, phi, psi}; a degree-1 coefficient
+    doubles the root.  So the values from k = 1 on satisfy the recurrence
+    with characteristic polynomial
+        Fibonacci:         P_F = (x^2-3x+1)^2 (x+1)^2 (x^2-x-1),    degree 8
+        binary Fibonacci:  P_B = (x^2-3x+1)^2 (x+1)^2 (x^2-x-1)^2,  degree 10
+    (phi, psi are single roots of P_F, double roots of P_B).
+
+    Recurrence side.  Both recurrences read W(i) - W(i-1) - W(i-2) = g(i)
+    for i >= 3, with g built from F and D.  If a has root alpha of
+    multiplicity m and b root beta of multiplicity n, then a * b has root
+    alpha * beta of multiplicity <= m + n - 1, and phi * psi = -1.
+        Fibonacci: D(k) = (k F(k+2) + (k+2) F(k)) / 5 has roots phi, psi
+        double, so g = F(i+1) D(i-2) + F(i) D(i-1) + F(i+1) F(i) is
+        annihilated by (x^2-3x+1)^2 (x+1)^2, degree 6.
+        Binary Fibonacci: D(k) = ((k-3) F(k+3) + 2 (k-2) F(k+2)) / 5 + 2 has
+        roots phi, psi double and 1 single, so
+        g = D(i-1) + F(i+1) - 1 + F(i+1) D(i-2)
+            + (F(i)-1) (D(i-1) + F(i+1) - 1) + F(i+1) (F(i)-1)
+        is annihilated by (x^2-3x+1)^2 (x+1)^2 (x^2-x-1)^2 (x-1), degree 11.
+    g obeys its recurrence on windows that start at i = 3, so W obeys the
+    one of (x^2-x-1) times g's polynomial on windows that start at k = 1:
+    R_F = P_F (degree 8) and R_B = (x^2-x-1)(x-1) P_B (degree 13).
+
+    Both sides therefore satisfy R (P divides R) from k = 1 on, and so does
+    their difference, which is zero everywhere once it is zero at
+    k = 1..deg R: 8 orders for Fibonacci, 13 for binary Fibonacci.  The
+    Fibonacci orders -1 and 0 lie below the window and are checked
+    directly.  The check runs from the floor to k = 399, far past both
+    bounds, plus k = 5000, and confirms that P and R annihilate the values
+    actually computed.
+    """
+    p_f = _poly_mul(X2_3X_1, X2_3X_1, X_PLUS_1, X_PLUS_1, X2_X_1)
+    p_b = _poly_mul(p_f, X2_X_1)
+    r_b = _poly_mul(p_b, X2_X_1, X_MINUS_1)
+    cases = [(wiener_fib_closed, wiener_fib, -1, p_f, p_f),
+             (wiener_binfib_closed, wiener_binfib, 1, p_b, r_b)]
+    for closed, recurrence, floor, p, r in cases:
+        orders = range(floor, 400)
+        closed_values = [closed(k) for k in orders]
+        recurrence_values = [recurrence(k) for k in orders]
+        assert closed_values == recurrence_values
+        from_one = 1 - floor
+        assert _annihilates(p, closed_values[from_one:])
+        assert _annihilates(r, recurrence_values[from_one:])
+        assert closed(5000) == recurrence(5000)
+    assert (len(p_f) - 1, len(p_b) - 1, len(r_b) - 1) == (8, 10, 13)

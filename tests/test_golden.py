@@ -2,11 +2,14 @@
 
 The expected text was captured before verify and bench shared one row
 renderer and the families one FamilySpec table, and pins that neither
-change moved a byte.  bench's JSON "seconds" values are wall times, so they
+change moved a byte.  The closed-form cases of the two Fibonacci families
+at orders other than 5 were captured while --method closed still ran the
+O(k) recurrences, and pin that the closed forms print the same.  bench's JSON "seconds" values are wall times, so they
 are blanked before comparing; its text-mode timings go to stderr, which is
 not compared.
 """
 
+import hashlib
 import re
 
 import pytest
@@ -133,6 +136,38 @@ GOLDEN = [
      ""),
     ('bench --family binary-fibonacci --max-order 0', 2,
      ""),
+    ('closed-form --family fibonacci --order -2 --method closed', 2, ''),
+    ('closed-form --family fibonacci --order -2 --method recurrence', 2, ''),
+    ('closed-form --family fibonacci --order -1 --method closed', 0, '0\n'),
+    ('closed-form --family fibonacci --order -1 --method recurrence', 0, '0\n'),
+    ('closed-form --family fibonacci --order 0 --method closed', 0, '0\n'),
+    ('closed-form --family fibonacci --order 0 --method recurrence', 0, '0\n'),
+    ('closed-form --family fibonacci --order 64 --method closed', 0,
+     '13528608074898867155525227442\n'),
+    ('closed-form --family fibonacci --order 64 --method recurrence', 0,
+     '13528608074898867155525227442\n'),
+    ('closed-form --family binary-fibonacci --order 0 --method closed', 2, ''),
+    ('closed-form --family binary-fibonacci --order 0 --method recurrence', 2, ''),
+    ('closed-form --family binary-fibonacci --order 1 --method closed', 0, '0\n'),
+    ('closed-form --family binary-fibonacci --order 1 --method recurrence', 0, '0\n'),
+    ('closed-form --family binary-fibonacci --order 2 --method closed', 0, '1\n'),
+    ('closed-form --family binary-fibonacci --order 2 --method recurrence', 0, '1\n'),
+    ('closed-form --family binary-fibonacci --order 64 --method closed', 0,
+     '33504885520553555073332409430\n'),
+    ('closed-form --family binary-fibonacci --order 64 --method recurrence', 0,
+     '33504885520553555073332409430\n'),
+]
+
+# Outputs too long to inline (about 840 digits), pinned by SHA-256 of stdout.
+GOLDEN_SHA256 = [
+    ('closed-form --family fibonacci --order 2000 --method closed',
+     'f4f8f95af72320b8c0724aaf2a9587f58c455e023abeabc4340edc01197aa0ff'),
+    ('closed-form --family fibonacci --order 2000 --method recurrence',
+     'f4f8f95af72320b8c0724aaf2a9587f58c455e023abeabc4340edc01197aa0ff'),
+    ('closed-form --family binary-fibonacci --order 2000 --method closed',
+     '688359d6e20e6c06fb90a0dfb11d81289d6430487f3c3e9828b903465dea99de'),
+    ('closed-form --family binary-fibonacci --order 2000 --method recurrence',
+     '688359d6e20e6c06fb90a0dfb11d81289d6430487f3c3e9828b903465dea99de'),
 ]
 
 
@@ -141,3 +176,9 @@ def test_golden_stdout(capsys, argv, code, stdout):
     assert cli.main(argv.split()) == code
     out = capsys.readouterr().out
     assert re.sub(r'"seconds": \{[^}]*\}', '"seconds": {}', out) == stdout
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_SHA256, ids=[c[0] for c in GOLDEN_SHA256])
+def test_golden_stdout_digest(capsys, argv, digest):
+    assert cli.main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

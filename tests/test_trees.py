@@ -192,6 +192,13 @@ def test_parse_rejects_bad_input():
         parse("")
 
 
+def test_parse_duplicate_edge_reports_its_own_line():
+    # The repeat of line 3 comes after three other edges.
+    with pytest.raises(ParseError, match="duplicate edge 0 2") as exc:
+        parse("6\n0 1\n0 2\n1 3\n1 4\n2 5\n0 2\n")
+    assert exc.value.line == 7
+
+
 def test_parse_rejects_header_larger_than_input():
     # Rejected from the line count alone, before anything is sized by n.
     with pytest.raises(ParseError, match="needs 999999999999 edges") as exc:
