@@ -23,7 +23,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
 from treewiener import compose, formulas, oracle
@@ -44,29 +43,10 @@ from treewiener.trees import (
 FAMILY_CHOICES = [f.value for f in TreeFamily]
 
 
-@dataclass
-class VerificationEntry:
-    order: int
-    nodes: int
-    formula_value: int
-    replay_value: int
-    oracle_value: int | None
-    status: str  # match | mismatch | skipped
-
-
-@dataclass
-class VerificationReport:
-    family: TreeFamily
-    entries: list = field(default_factory=list)
-
-    @property
-    def all_match(self) -> bool:
-        return all(e.status != "mismatch" for e in self.entries)
-
-
-def _verify_order(family: TreeFamily, k: int, node_budget: int) -> VerificationEntry:
+def _verify_order(family: TreeFamily, k: int, node_budget: int) -> dict:
     """Compare every evaluation route for one order; oracles only run while
-    the materialized tree fits the node budget."""
+    the materialized tree fits the node budget.  The row's status is match,
+    mismatch, or skipped (the oracles did not run)."""
     formula = family.spec.closed(k)
     recurrence = family.spec.recurrence(k)
     replay = compose.replay_family(family, k).w
@@ -84,7 +64,9 @@ def _verify_order(family: TreeFamily, k: int, node_budget: int) -> VerificationE
         status = "skipped"
     else:
         status = "match"
-    return VerificationEntry(k, n, formula, replay, oracle_value, status)
+    return {"order": k, "nodes": n, "formula_value": formula,
+            "replay_value": replay, "oracle_value": oracle_value,
+            "status": status}
 
 
 def _orders(family: TreeFamily, max_order: int) -> range:
@@ -96,19 +78,17 @@ def _orders(family: TreeFamily, max_order: int) -> range:
 
 
 def run_verify(family: TreeFamily, max_order: int, node_budget: int,
-               jobs: int = 1) -> VerificationReport:
+               jobs: int = 1) -> list:
+    """One _verify_order row per order of the sweep, in order."""
     orders = _orders(family, max_order)
-    report = VerificationReport(family)
     # A forked pool starts all its workers at once, so never ask for more
     # than there are orders or CPUs.
     workers = min(jobs, len(orders), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            report.entries = list(pool.map(_verify_order, repeat(family), orders,
-                                           repeat(node_budget)))
-    else:
-        report.entries = [_verify_order(family, k, node_budget) for k in orders]
-    return report
+            return list(pool.map(_verify_order, repeat(family), orders,
+                                 repeat(node_budget)))
+    return [_verify_order(family, k, node_budget) for k in orders]
 
 
 def _decimal(value) -> str:
@@ -195,7 +175,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_compute(args) -> int:
-    with open(args.input, "r", encoding="ascii") as fh:
+    # A byte outside ASCII becomes a lone surrogate, which parse rejects
+    # with its line number.
+    with open(args.input, "r", encoding="ascii", errors="surrogateescape") as fh:
         tree = parse(fh.read())
     algo = oracle.wiener_bfs if args.algo == "bfs" else oracle.wiener_linear
     print(_decimal(algo(tree)))
@@ -204,23 +186,23 @@ def cmd_compute(args) -> int:
 
 def cmd_verify(args) -> int:
     family = TreeFamily(args.family)
-    report = run_verify(family, args.max_order, args.node_budget, args.jobs)
+    entries = run_verify(family, args.max_order, args.node_budget, args.jobs)
+    all_match = all(e["status"] != "mismatch" for e in entries)
     note = _literal_note() if family is TreeFamily.BINARY_FIBONACCI else None
     head = {"family": family.value, "max_order": args.max_order,
             "node_budget": args.node_budget}
-    tail = {"all_match": report.all_match}
+    tail = {"all_match": all_match}
     if note:
         tail["note"] = note
     columns = {"order": "order", "nodes": "nodes", "formula_value": "formula",
                "replay_value": "replay", "oracle_value": "oracle",
                "status": "status"}
-    entries = [asdict(e) for e in report.entries]
     _print_rows(args.json, head, columns, entries, tail)
     if not args.json:
         if note:
             print(note)
-        print("result:", "all match" if report.all_match else "MISMATCH")
-    return 0 if report.all_match else 1
+        print("result:", "all match" if all_match else "MISMATCH")
+    return 0 if all_match else 1
 
 
 def cmd_bench(args) -> int:

@@ -11,12 +11,13 @@ composition rules close over such triples:
 Replaying a family's recursive construction with join then yields the exact
 (n, W, D_root) of the order-k tree in O(k) integer operations, which is the
 cross-check used against both the closed forms and the brute-force oracles.
+The construction rules themselves live with the families, as the grow field
+of treewiener.trees.FamilySpec; this module knows no family by name.
 """
 
 from dataclasses import dataclass
 
 from treewiener.errors import InvalidOrderError
-from treewiener.trees import TreeFamily
 
 
 @dataclass(frozen=True)
@@ -71,34 +72,20 @@ def join(a: TreeSummary, b: TreeSummary) -> TreeSummary:
     )
 
 
-def replay_family(family: TreeFamily, k: int) -> TreeSummary:
-    """Summary of the order-k family tree (anchor = root), in O(k) joins.
+def replay_family(family, k: int) -> TreeSummary:
+    """Summary of the order-k tree of a trees.TreeFamily (anchor = root).
 
-    Binomial: each order joins the tree onto itself at the roots.
-    Fibonacci: order k joins order k-1 (keeps the root) with order k-2.
-    Binary Fibonacci: order k hangs order k-1 and order k-2 under a fresh
-    root, one join each; the empty order-0 operand is skipped.  Order 0
-    itself has no summary (no anchor), so k >= 1 here.
+    Starts from the single vertex at the family's min_summary_order, with
+    None, the empty tree, one order below it, and applies the family's grow
+    rule once per order up to k: O(k) joins.
     """
-    floor = family.spec.min_summary_order
+    spec = family.spec
+    floor = spec.min_summary_order
     if k < floor:
         raise InvalidOrderError(
             f"{family.value} summaries need order >= {floor}, got {k}"
         )
-    if family is TreeFamily.BINOMIAL:
-        s = SINGLE
-        for _ in range(k):
-            s = join(s, s)
-        return s
-
-    if family is TreeFamily.FIBONACCI:
-        prev, cur = SINGLE, SINGLE  # orders k-2, k-1 rolling forward
-        for _ in range(max(k, 0)):
-            prev, cur = cur, join(cur, prev)
-        return cur
-
     prev, cur = None, SINGLE  # orders i-2 (None = empty), i-1
-    for _ in range(k - 1):
-        rooted = join(SINGLE, cur)
-        prev, cur = cur, (rooted if prev is None else join(rooted, prev))
+    for _ in range(k - floor):
+        prev, cur = cur, spec.grow(prev, cur)
     return cur

@@ -11,14 +11,15 @@ All three families are ordered trees built by a recursive composition rule:
   as left subtree and the order-(k-2) tree as right subtree; F(k+2) - 1
   nodes (order 0 is the empty tree, order 1 a single node).
 
-Generators are iterative (explicit stacks / doubling), never recursive, so
-order is limited only by the node budget, not call depth.
+Generators are iterative (doubling for binomial trees, one explicit-stack
+preorder expander for both Fibonacci families), never recursive, so order is
+limited only by the node budget, not call depth.
 """
 
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
-from treewiener import formulas
+from treewiener import compose, formulas
 from treewiener.errors import (
     InvalidOrderError,
     ParseError,
@@ -157,6 +158,29 @@ def binomial_tree(k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedTree:
     return RootedTree(len(parent), 0, parent, children)
 
 
+def _expand(k: int, child_orders: Callable[[int], Sequence[int]]) -> RootedTree:
+    """Order-k tree with node ids in preorder, root id 0.
+
+    child_orders(j) lists, left to right, the orders of the children of a
+    node of order j.  It is called once per order, not once per node: the
+    lists are tabulated up front, from order -1, the lowest of any family.
+    """
+    pushed = {j: child_orders(j)[::-1] for j in range(-1, k + 1)}
+    parent = []
+    children = []
+    stack = [(k, None)]
+    while stack:
+        order, p = stack.pop()
+        node = len(parent)
+        parent.append(p)
+        children.append([])
+        if p is not None:
+            children[p].append(node)
+        for j in pushed[order]:  # pushed right-to-left, popped left-to-right
+            stack.append((j, node))
+    return RootedTree(len(parent), 0, parent, children)
+
+
 def fibonacci_tree(k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedTree:
     """Order-k Fibonacci tree (F(k+2) nodes), root id 0.
 
@@ -164,19 +188,7 @@ def fibonacci_tree(k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedTree:
     -1, 0, ..., j-2 left to right; orders -1 and 0 are leaves.
     """
     _check_budget(TreeFamily.FIBONACCI, k, max_nodes)
-    parent = []
-    children = []
-    stack = [(k, None)]
-    while stack:
-        order, p = stack.pop()
-        node = len(parent)
-        parent.append(p)
-        children.append([])
-        if p is not None:
-            children[p].append(node)
-        for j in range(order - 2, -2, -1):  # pushed high-to-low, popped low-to-high
-            stack.append((j, node))
-    return RootedTree(len(parent), 0, parent, children)
+    return _expand(k, lambda j: range(-1, j - 1))
 
 
 def binary_fibonacci_tree(k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedTree:
@@ -184,22 +196,13 @@ def binary_fibonacci_tree(k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> Roote
     _check_budget(TreeFamily.BINARY_FIBONACCI, k, max_nodes)
     if k == 0:
         return RootedTree.empty()
-    parent = []
-    children = []
-    stack = [(k, None)]
-    while stack:
-        order, p = stack.pop()
-        if order == 0:
-            continue
-        node = len(parent)
-        parent.append(p)
-        children.append([])
-        if p is not None:
-            children[p].append(node)
-        if order >= 2:
-            stack.append((order - 2, node))  # right subtree, created second
-            stack.append((order - 1, node))  # left subtree, created first
-    return RootedTree(len(parent), 0, parent, children)
+    # Subtrees of orders j-1 (left) and j-2 (right); order 0 has no node.
+    return _expand(k, lambda j: tuple(o for o in (j - 1, j - 2) if o >= 1))
+
+
+def _join(a: compose.TreeSummary, b) -> compose.TreeSummary:
+    """compose.join(a, b), where b = None, the empty tree, leaves a as it is."""
+    return a if b is None else compose.join(a, b)
 
 
 class FamilySpec(NamedTuple):
@@ -208,9 +211,12 @@ class FamilySpec(NamedTuple):
     min_order is the smallest order with a tree; min_summary_order the
     smallest with a root and hence a Wiener index and an (n, W, D) summary.
     nodes(k) is the closed-form node count, build(k, max_nodes) the
-    generator, closed(k) and recurrence(k) evaluate W.  The evaluators look
-    formulas.wiener_* up at call time, so replacing a module attribute
-    reaches every caller.
+    generator, closed(k) and recurrence(k) evaluate W.  grow(prev, cur) is
+    the construction rule on (n, W, D) summaries: from the summaries of
+    orders i-2 and i-1 (None for the empty tree below min_summary_order) it
+    builds the summary of order i, which compose.replay_family iterates.
+    The evaluators and the rules look formulas.wiener_* and compose.join up
+    at call time, so replacing a module attribute reaches every caller.
     """
 
     min_order: int
@@ -219,6 +225,8 @@ class FamilySpec(NamedTuple):
     build: Callable[[int, int], RootedTree]
     closed: Callable[[int], int]
     recurrence: Callable[[int], int]
+    grow: Callable[[compose.TreeSummary | None, compose.TreeSummary],
+                   compose.TreeSummary]
 
 
 # closed evaluates W in O(log k) big-integer multiplications, recurrence in
@@ -232,6 +240,7 @@ _SPECS = {
         build=binomial_tree,
         closed=lambda k: formulas.wiener_binomial(k),
         recurrence=lambda k: formulas.wiener_binomial_recurrence(k),
+        grow=lambda prev, cur: compose.join(cur, cur),
     ),
     TreeFamily.FIBONACCI: FamilySpec(
         min_order=-1,
@@ -240,6 +249,7 @@ _SPECS = {
         build=fibonacci_tree,
         closed=lambda k: formulas.wiener_fib_closed(k),
         recurrence=lambda k: formulas.wiener_fib(k),
+        grow=lambda prev, cur: _join(cur, prev),
     ),
     TreeFamily.BINARY_FIBONACCI: FamilySpec(
         min_order=0,
@@ -248,6 +258,7 @@ _SPECS = {
         build=binary_fibonacci_tree,
         closed=lambda k: formulas.wiener_binfib_closed(k),
         recurrence=lambda k: formulas.wiener_binfib(k),
+        grow=lambda prev, cur: _join(compose.join(compose.SINGLE, cur), prev),
     ),
 }
 
@@ -270,10 +281,19 @@ def serialize(tree: RootedTree) -> str:
 def parse(text: str) -> RootedTree:
     """Inverse of serialize, with line-numbered rejection of bad input.
 
-    Detected per line: malformed tokens, ids out of range, duplicate edges,
-    second parents, cycles.  Detected at end of input: wrong edge count
-    (disconnection / multiple roots).
+    Detected first, over the whole input: a sign, an underscore, or a
+    character outside ASCII.  Detected per line: malformed tokens, ids out
+    of range, duplicate edges, second parents, cycles.  Detected at end of
+    input: wrong edge count (disconnection / multiple roots).
     """
+    # int() also reads signs, underscores and the digits of other scripts.
+    # One scan of the whole text; the offending line is searched only when
+    # it fails.  keepends: a non-ASCII line break belongs to the line it ends.
+    if not text.isascii() or "+" in text or "-" in text or "_" in text:
+        for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
+            bad = [ch for ch in line if not ch.isascii() or ch in "+-_"]
+            if bad:
+                raise ParseError(lineno, f"expected ASCII decimal digits, found {bad[0]!r}")
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError(1, "missing node-count header")
@@ -281,8 +301,6 @@ def parse(text: str) -> RootedTree:
         n = int(lines[0].strip())
     except ValueError:
         raise ParseError(1, f"node count is not an integer: {lines[0].strip()!r}") from None
-    if n < 0:
-        raise ParseError(1, f"node count must be >= 0, got {n}")
     if n == 0:
         for i, line in enumerate(lines[1:], start=2):
             if line.strip():
@@ -330,9 +348,12 @@ def parse(text: str) -> RootedTree:
             raise ParseError(lineno, f"self-loop at node {p}")
         if parent[c] is not None:
             raise ParseError(lineno, f"node {c} already has a parent")
-        if find(p) == find(c):
+        # c has no parent yet, so it tops its component and is its own
+        # representative: the edge closes a cycle exactly when p is below c.
+        top = find(p)
+        if top == c:
             raise ParseError(lineno, f"edge {p} {c} closes a cycle")
-        uf[find(c)] = find(p)
+        uf[c] = top
         parent[c] = p
         children[p].append(c)
         edges += 1

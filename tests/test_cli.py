@@ -184,6 +184,14 @@ def test_compute_malformed_file_exits_2(tmp_path, capsys):
     assert "line 4" in err
 
 
+def test_compute_non_ascii_byte_exits_2(tmp_path, capsys):
+    f = tmp_path / "byte.tree"
+    f.write_bytes(b"3\n0 1\n0 \xff2\n")
+    rc, out, err = run_cli(capsys, ["compute", "--in", str(f)])
+    assert (rc, out) == (2, "")
+    assert "line 3" in err
+
+
 def test_compute_empty_tree_exits_2(tmp_path, capsys):
     f = tmp_path / "empty.tree"
     f.write_text("0\n")

@@ -4,9 +4,12 @@ The expected text was captured before verify and bench shared one row
 renderer and the families one FamilySpec table, and pins that neither
 change moved a byte.  The closed-form cases of the two Fibonacci families
 at orders other than 5 were captured while --method closed still ran the
-O(k) recurrences, and pin that the closed forms print the same.  bench's JSON "seconds" values are wall times, so they
-are blanked before comparing; its text-mode timings go to stderr, which is
-not compared.
+O(k) recurrences, and pin that the closed forms print the same.  The
+--method replay cases at orders other than 5, and the digests of the files
+generate writes, were captured while replay_family still had one loop per
+family and each Fibonacci family its own generator.  bench's JSON "seconds"
+values are wall times, so they are blanked before comparing; its text-mode
+timings go to stderr, which is not compared.
 """
 
 import hashlib
@@ -156,6 +159,21 @@ GOLDEN = [
      '33504885520553555073332409430\n'),
     ('closed-form --family binary-fibonacci --order 64 --method recurrence', 0,
      '33504885520553555073332409430\n'),
+    ('closed-form --family binomial --order -1 --method replay', 2, ''),
+    ('closed-form --family binomial --order 0 --method replay', 0, '0\n'),
+    ('closed-form --family binomial --order 1 --method replay', 0, '1\n'),
+    ('closed-form --family binomial --order 64 --method replay', 0,
+     '10718894558009561599105523506137553436672\n'),
+    ('closed-form --family fibonacci --order -2 --method replay', 2, ''),
+    ('closed-form --family fibonacci --order -1 --method replay', 0, '0\n'),
+    ('closed-form --family fibonacci --order 0 --method replay', 0, '0\n'),
+    ('closed-form --family fibonacci --order 64 --method replay', 0,
+     '13528608074898867155525227442\n'),
+    ('closed-form --family binary-fibonacci --order 0 --method replay', 2, ''),
+    ('closed-form --family binary-fibonacci --order 1 --method replay', 0, '0\n'),
+    ('closed-form --family binary-fibonacci --order 2 --method replay', 0, '1\n'),
+    ('closed-form --family binary-fibonacci --order 64 --method replay', 0,
+     '33504885520553555073332409430\n'),
 ]
 
 # Outputs too long to inline (about 840 digits), pinned by SHA-256 of stdout.
@@ -168,6 +186,25 @@ GOLDEN_SHA256 = [
      '688359d6e20e6c06fb90a0dfb11d81289d6430487f3c3e9828b903465dea99de'),
     ('closed-form --family binary-fibonacci --order 2000 --method recurrence',
      '688359d6e20e6c06fb90a0dfb11d81289d6430487f3c3e9828b903465dea99de'),
+    ('closed-form --family binomial --order 2000 --method replay',
+     '8d35d7464c78cf85b0c41cf9e8e123f611ff29dc98db369b157395c3f951e5bb'),
+    ('closed-form --family fibonacci --order 2000 --method replay',
+     'f4f8f95af72320b8c0724aaf2a9587f58c455e023abeabc4340edc01197aa0ff'),
+    ('closed-form --family binary-fibonacci --order 2000 --method replay',
+     '688359d6e20e6c06fb90a0dfb11d81289d6430487f3c3e9828b903465dea99de'),
+]
+
+# SHA-256 of the edge-list file `generate --family F --order K` writes.
+GOLDEN_FILES = [
+    ('binomial', 0, '4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865'),
+    ('binomial', 3, '911b99415f60fc7f408a6909bb3e4b750e13a4e5985c8b30c09f6c3898352c5f'),
+    ('binomial', 12, 'a3d11eeb5ddabd9b74d632f8626b9cf67c375f0d3f5fb6e26893a672bc7beae8'),
+    ('fibonacci', -1, '4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865'),
+    ('fibonacci', 4, '1625caa03902c6d4d8744066e17a6d2f3e5687883525547c14c0b7cca43b9ebd'),
+    ('fibonacci', 16, '9bbcf121c78f7112a26cef63eb17da9518e503b9443c13996bd05f362e98275e'),
+    ('binary-fibonacci', 0, '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa'),
+    ('binary-fibonacci', 5, '03d0f0f9411bb03fa0ad2261ff16523f775f27f887265909aacad2986ddf6898'),
+    ('binary-fibonacci', 17, '9bf5ebd5c9cc38a7aceb70fc7e36d5fca3cdf4408917fcdfe4441b7c6ef18b20'),
 ]
 
 
@@ -182,3 +219,13 @@ def test_golden_stdout(capsys, argv, code, stdout):
 def test_golden_stdout_digest(capsys, argv, digest):
     assert cli.main(argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family,order,digest", GOLDEN_FILES,
+                         ids=[f"{f}-{k}" for f, k, _ in GOLDEN_FILES])
+def test_golden_generated_file_digest(capsys, tmp_path, family, order, digest):
+    out = tmp_path / "tree.txt"
+    argv = ["generate", "--family", family, "--order", str(order), "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -206,6 +206,22 @@ def test_parse_rejects_header_larger_than_input():
     assert exc.value.line == 2
 
 
+# int() reads each text but the last as a valid tree: it also takes signs,
+# underscores and the digits of other scripts.
+@pytest.mark.parametrize("text,line", [
+    ("3\n0 +1\n0 2\n", 2),
+    ("3\n0 1\n-0 2\n", 3),
+    ("1_0\n" + "".join(f"0 {c}\n" for c in range(1, 10)), 1),
+    ("3\n0 1\n0 \u0662\n", 3),  # ARABIC-INDIC DIGIT TWO
+    ("3\n0 1\x850 2\n", 2),  # NEL, a line break to splitlines
+    (b"3\n0 1\n0 2\xa0\n".decode("ascii", "surrogateescape"), 3),
+], ids=["plus", "minus-zero", "underscore", "arabic-digit", "nel", "byte"])
+def test_parse_rejects_non_ascii_decimal(text, line):
+    with pytest.raises(ParseError, match="expected ASCII decimal digits") as exc:
+        parse(text)
+    assert exc.value.line == line
+
+
 def test_parse_accepts_nonzero_root():
     t = parse("3\n2 0\n2 1\n")
     assert t.root == 2
