@@ -19,13 +19,10 @@ numbers to stderr (text mode) or into a dedicated "seconds" field (JSON).
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from itertools import repeat
 
-from treewiener import compose, formulas, oracle
+from treewiener import compose, oracle
 from treewiener.errors import (
     InvalidOrderError,
     NotDivisibleError,
@@ -77,18 +74,9 @@ def _orders(family: TreeFamily, max_order: int) -> range:
     return range(start, max_order + 1)
 
 
-def run_verify(family: TreeFamily, max_order: int, node_budget: int,
-               jobs: int = 1) -> list:
+def run_verify(family: TreeFamily, max_order: int, node_budget: int) -> list:
     """One _verify_order row per order of the sweep, in order."""
-    orders = _orders(family, max_order)
-    # A forked pool starts all its workers at once, so never ask for more
-    # than there are orders or CPUs.
-    workers = min(jobs, len(orders), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_verify_order, repeat(family), orders,
-                                 repeat(node_budget)))
-    return [_verify_order(family, k, node_budget) for k in orders]
+    return [_verify_order(family, k, node_budget) for k in _orders(family, max_order)]
 
 
 def _decimal(value) -> str:
@@ -125,16 +113,6 @@ def _print_rows(as_json: bool, head: dict, columns: dict, entries: list,
     for e in entries:
         rows.append(["-" if e[key] is None else _decimal(e[key]) for key in columns])
     _render_table(rows, sys.stdout)
-
-
-def _literal_note() -> str:
-    literal = formulas.wiener_binfib_literal(3)
-    corrected = formulas.wiener_binfib(3)
-    return (
-        f"note: the literal printed recurrence gives {literal} at order 3 "
-        f"where direct enumeration gives {corrected}; the corrected form is "
-        "used throughout and this divergence is documented, not a failure"
-    )
 
 
 def _timed(fn, *args) -> tuple:
@@ -186,9 +164,9 @@ def cmd_compute(args) -> int:
 
 def cmd_verify(args) -> int:
     family = TreeFamily(args.family)
-    entries = run_verify(family, args.max_order, args.node_budget, args.jobs)
+    entries = run_verify(family, args.max_order, args.node_budget)
     all_match = all(e["status"] != "mismatch" for e in entries)
-    note = _literal_note() if family is TreeFamily.BINARY_FIBONACCI else None
+    note = family.spec.verify_note()
     head = {"family": family.value, "max_order": args.max_order,
             "node_budget": args.node_budget}
     tail = {"all_match": all_match}
@@ -275,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=FAMILY_CHOICES)
     p.add_argument("--max-order", required=True, type=int)
     p.add_argument("--node-budget", type=int, default=10**6)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the per-order sweep")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -116,10 +116,9 @@ def _wiener_fib_counted(k: int) -> tuple:
     """Shared evaluator for wiener_fib: returns (value, big-int op count).
 
     One pass: build the Fibonacci table up to F(k+1) by additions, then roll
-    two Wiener accumulators upward, recomputing both distance sums per step
-    from the closed form.  The op count tallies every big-integer add,
-    multiply, and exact division performed, and is what the O(k)-arithmetic
-    cost contract is asserted against.
+    two Wiener accumulators and two distance-sum accumulators upward.  The
+    op count tallies every big-integer add and multiply performed, and is
+    what the O(k)-arithmetic cost contract is asserted against.
     """
     if k < -1:
         raise InvalidOrderError(f"fibonacci order must be >= -1, got {k}")
@@ -132,12 +131,13 @@ def _wiener_fib_counted(k: int) -> tuple:
     ops = k  # fib_table(k + 1) performs k additions
     f = fib_table(k + 1)
     w_prev2, w_prev = 1, 4  # W(1), W(2)
+    d_prev2, d_prev = 1, 2  # D(1), D(2)
     for i in range(3, k + 1):
-        d1 = exact_div((i - 1) * f[i + 1] + (i + 1) * f[i - 1], 5)  # D(i-1)
-        d2 = exact_div((i - 2) * f[i] + i * f[i - 2], 5)            # D(i-2)
-        w = w_prev + w_prev2 + f[i + 1] * d2 + f[i] * d1 + f[i + 1] * f[i]
-        ops += 15  # 2 * (mul, mul, add, div) for d1, d2; 3 muls + 4 adds for w
+        w = w_prev + w_prev2 + f[i + 1] * d_prev2 + f[i] * d_prev + f[i + 1] * f[i]
         w_prev2, w_prev = w_prev, w
+        # D(i) = D(i-1) + D(i-2) + F(i), as in d_fib_recurrence.
+        d_prev2, d_prev = d_prev, d_prev + d_prev2 + f[i]
+        ops += 9  # 3 muls + 4 adds for w; 2 adds for D
     return w_prev, ops
 
 
@@ -146,7 +146,8 @@ def wiener_fib(k: int) -> int:
 
         W(i) = W(i-1) + W(i-2) + F(i+1)*D(i-2) + F(i)*D(i-1) + F(i+1)*F(i)
 
-    from W(1) = 1, W(2) = 4, with D evaluated in closed form each step."""
+    from W(1) = 1, W(2) = 4, with D rolled alongside by its own recurrence
+    D(i) = D(i-1) + D(i-2) + F(i)."""
     return _wiener_fib_counted(k)[0]
 
 

@@ -200,6 +200,18 @@ def binary_fibonacci_tree(k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> Roote
     return _expand(k, lambda j: tuple(o for o in (j - 1, j - 2) if o >= 1))
 
 
+def _literal_note() -> str:
+    """The binary Fibonacci note of verify: the paper's printed recurrence
+    disagrees with enumeration, and the corrected one is used instead."""
+    literal = formulas.wiener_binfib_literal(3)
+    corrected = formulas.wiener_binfib(3)
+    return (
+        f"note: the literal printed recurrence gives {literal} at order 3 "
+        f"where direct enumeration gives {corrected}; the corrected form is "
+        "used throughout and this divergence is documented, not a failure"
+    )
+
+
 def _join(a: compose.TreeSummary, b) -> compose.TreeSummary:
     """compose.join(a, b), where b = None, the empty tree, leaves a as it is."""
     return a if b is None else compose.join(a, b)
@@ -215,8 +227,10 @@ class FamilySpec(NamedTuple):
     the construction rule on (n, W, D) summaries: from the summaries of
     orders i-2 and i-1 (None for the empty tree below min_summary_order) it
     builds the summary of order i, which compose.replay_family iterates.
-    The evaluators and the rules look formulas.wiener_* and compose.join up
-    at call time, so replacing a module attribute reaches every caller.
+    verify_note() is a line verify adds after its sweep, or None.  The
+    evaluators, the rules and the note look formulas.wiener_* and
+    compose.join up at call time, so replacing a module attribute reaches
+    every caller.
     """
 
     min_order: int
@@ -227,6 +241,7 @@ class FamilySpec(NamedTuple):
     recurrence: Callable[[int], int]
     grow: Callable[[compose.TreeSummary | None, compose.TreeSummary],
                    compose.TreeSummary]
+    verify_note: Callable[[], str | None] = lambda: None
 
 
 # closed evaluates W in O(log k) big-integer multiplications, recurrence in
@@ -259,6 +274,7 @@ _SPECS = {
         closed=lambda k: formulas.wiener_binfib_closed(k),
         recurrence=lambda k: formulas.wiener_binfib(k),
         grow=lambda prev, cur: _join(compose.join(compose.SINGLE, cur), prev),
+        verify_note=_literal_note,
     ),
 }
 
@@ -281,17 +297,21 @@ def serialize(tree: RootedTree) -> str:
 def parse(text: str) -> RootedTree:
     """Inverse of serialize, with line-numbered rejection of bad input.
 
-    Detected first, over the whole input: a sign, an underscore, or a
-    character outside ASCII.  Detected per line: malformed tokens, ids out
-    of range, duplicate edges, second parents, cycles.  Detected at end of
-    input: wrong edge count (disconnection / multiple roots).
+    Detected first, over the whole input: a sign, an underscore, a control
+    character among VT, FF and 0x1c-0x1f, or a character outside ASCII.
+    Detected per line: malformed tokens, ids out of range, duplicate edges,
+    second parents, cycles.  Detected at end of input: wrong edge count
+    (disconnection / multiple roots).
     """
-    # int() also reads signs, underscores and the digits of other scripts.
-    # One scan of the whole text; the offending line is searched only when
-    # it fails.  keepends: a non-ASCII line break belongs to the line it ends.
-    if not text.isascii() or "+" in text or "-" in text or "_" in text:
+    # int() also reads signs, underscores and the digits of other scripts,
+    # and str.split() and str.splitlines() take the control characters for
+    # separators.  One scan of the whole text; the offending line is searched
+    # only when it fails.  keepends: a line break other than LF, CR or CRLF
+    # is itself rejected, and belongs to the line it ends.
+    rejected = "+-_\x0b\x0c\x1c\x1d\x1e\x1f"
+    if not text.isascii() or any(ch in text for ch in rejected):
         for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
-            bad = [ch for ch in line if not ch.isascii() or ch in "+-_"]
+            bad = [ch for ch in line if not ch.isascii() or ch in rejected]
             if bad:
                 raise ParseError(lineno, f"expected ASCII decimal digits, found {bad[0]!r}")
     lines = text.splitlines()

@@ -250,42 +250,6 @@ def test_verify_json_roundtrips(capsys):
             assert entry["status"] == "skipped"
 
 
-def test_verify_parallel_matches_sequential(capsys):
-    args = ["verify", "--family", "binary-fibonacci", "--max-order", "10",
-            "--node-budget", "500"]
-    rc1, out1, _ = run_cli(capsys, args)
-    rc2, out2, _ = run_cli(capsys, args + ["--jobs", "2"])
-    assert rc1 == rc2 == 0
-    assert out1 == out2
-
-
-def test_verify_jobs_capped_by_orders_and_cpus(capsys, monkeypatch):
-    started = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    few = ["verify", "--family", "fibonacci", "--max-order", "1"]  # orders -1..1
-    many = ["verify", "--family", "fibonacci", "--max-order", "9"]
-    for args in (few, many):
-        rc, out, _ = run_cli(capsys, args + ["--jobs", "64"])
-        assert rc == 0
-        assert (rc, out) == run_cli(capsys, args)[:2]
-    assert started == [3, 4]
-
-
 def test_verify_detects_mismatch(capsys, monkeypatch):
     monkeypatch.setattr(formulas, "wiener_binomial", lambda k: 999)
     rc, out, _ = run_cli(capsys, ["verify", "--family", "binomial",
@@ -351,6 +315,18 @@ def test_stdout_byte_identical_across_runs(capsys):
         _, first, _ = run_cli(capsys, args)
         _, second, _ = run_cli(capsys, args)
         assert first == second
+
+
+def test_import_loads_no_process_pool():
+    # Every command starts by importing the CLI; it needs no worker pool.
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import treewiener.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_python_dash_m_entry_point():

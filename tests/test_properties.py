@@ -1,8 +1,8 @@
 """Property tests, with inputs drawn by hypothesis.
 
 * The composition algebra is an oracle for any tree, not only the three
-  families: folding a random tree bottom-up with join gives its vertex
-  count, its Wiener index and its root's distance sum.
+  families: folding a random tree bottom-up with join and identify gives
+  its vertex count, its Wiener index and its root's distance sum.
 * compute on arbitrary bytes answers or rejects the input: exit 0 with one
   decimal line on stdout, or exit 2 with an error on stderr, never a
   traceback.
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treewiener import cli
-from treewiener.compose import SINGLE, join
+from treewiener.compose import SINGLE, identify, join
 from treewiener.oracle import distance_sum, wiener_linear
 from treewiener.trees import RootedTree, serialize
 
@@ -40,15 +40,19 @@ def edge_list_bytes(draw):
 
 
 @settings(deadline=None, max_examples=150)
-@given(random_trees(60))
-def test_join_fold_matches_oracles(tree):
+@given(random_trees(60), st.data())
+def test_join_fold_matches_oracles(tree, data):
     # Node ids grow away from the root, so in descending id order every
-    # child is summarized before its parent.
+    # child is summarized before its parent.  Each child is attached either
+    # by join, or by identify with the child's subtree under a pendant root.
     summary = [None] * tree.n
     for v in reversed(range(tree.n)):
         s = SINGLE
         for c in tree.children[v]:
-            s = join(s, summary[c])
+            if data.draw(st.booleans()):
+                s = join(s, summary[c])
+            else:
+                s = identify(s, join(SINGLE, summary[c]))
         summary[v] = s
     assert summary[tree.root].astuple() == (
         tree.n, wiener_linear(tree), distance_sum(tree, tree.root))

@@ -206,8 +206,10 @@ def test_parse_rejects_header_larger_than_input():
     assert exc.value.line == 2
 
 
-# int() reads each text but the last as a valid tree: it also takes signs,
-# underscores and the digits of other scripts.
+# Without the whole-text scan, most of these texts read as a valid tree:
+# int() takes signs, underscores and the digits of other scripts, and
+# str.split() and str.splitlines() take some ASCII control characters for
+# separators.
 @pytest.mark.parametrize("text,line", [
     ("3\n0 +1\n0 2\n", 2),
     ("3\n0 1\n-0 2\n", 3),
@@ -215,7 +217,11 @@ def test_parse_rejects_header_larger_than_input():
     ("3\n0 1\n0 \u0662\n", 3),  # ARABIC-INDIC DIGIT TWO
     ("3\n0 1\x850 2\n", 2),  # NEL, a line break to splitlines
     (b"3\n0 1\n0 2\xa0\n".decode("ascii", "surrogateescape"), 3),
-], ids=["plus", "minus-zero", "underscore", "arabic-digit", "nel", "byte"])
+    ("3\x1c0 1\x1c0 2\n", 1),  # FILE SEPARATOR, a line break to splitlines
+    ("3\n0\x1f1\n0 2\n", 2),  # UNIT SEPARATOR, whitespace to split
+    ("3\n0\x0b1\n0\x0c2\n", 2),  # VT and FF, separators to both
+], ids=["plus", "minus-zero", "underscore", "arabic-digit", "nel", "byte",
+        "file-separator", "unit-separator", "vt-ff"])
 def test_parse_rejects_non_ascii_decimal(text, line):
     with pytest.raises(ParseError, match="expected ASCII decimal digits") as exc:
         parse(text)
