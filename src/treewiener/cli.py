@@ -51,7 +51,7 @@ def _verify_order(family: TreeFamily, k: int, node_budget: int) -> dict:
     values = [formula, recurrence, replay]
     oracle_value = None
     if n <= node_budget:
-        tree = generate(family, k, max_nodes=max(node_budget, 1))
+        tree = generate(family, k, max_nodes=node_budget)
         oracle_value = oracle.wiener_bfs(tree)
         values.append(oracle_value)
         values.append(oracle.wiener_linear(tree))
@@ -192,7 +192,7 @@ def cmd_bench(args) -> int:
         _, t_replay = _timed(compose.replay_family, family, k)
         t_linear = t_bfs = None
         if n <= args.node_budget:
-            tree = generate(family, k, max_nodes=max(args.node_budget, 1))
+            tree = generate(family, k, max_nodes=args.node_budget)
             _, t_linear = _timed(oracle.wiener_linear, tree)
             if n <= args.bfs_budget:
                 _, t_bfs = _timed(oracle.wiener_bfs, tree)

@@ -15,29 +15,28 @@ The construction rules themselves live with the families, as the grow field
 of treewiener.trees.FamilySpec; this module knows no family by name.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from treewiener.errors import InvalidOrderError
 
 
-@dataclass(frozen=True)
-class TreeSummary:
-    """(vertex count, Wiener index, anchored distance sum) of some tree."""
+class TreeSummary(namedtuple("TreeSummary", "n w d_anchor")):
+    """(vertex count, Wiener index, anchored distance sum) of some tree: an
+    immutable tuple, equal to the plain tuple (n, w, d_anchor)."""
 
-    n: int
-    w: int
-    d_anchor: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"summary needs n >= 1, got {self.n}")
-        if self.w < 0 or self.d_anchor < 0:
+    def __new__(cls, n: int, w: int, d_anchor: int):
+        if n < 1:
+            raise ValueError(f"summary needs n >= 1, got {n}")
+        if w < 0 or d_anchor < 0:
             raise ValueError("w and d_anchor must be >= 0")
-        if self.n == 1 and (self.w != 0 or self.d_anchor != 0):
+        if n == 1 and (w != 0 or d_anchor != 0):
             raise ValueError("a single vertex has w = 0 and d_anchor = 0")
+        return tuple.__new__(cls, (n, w, d_anchor))
 
     def astuple(self) -> tuple:
-        return (self.n, self.w, self.d_anchor)
+        return tuple(self)
 
 
 SINGLE = TreeSummary(1, 0, 0)

@@ -1,6 +1,14 @@
 """Exception types shared across the package."""
 
 
+def _describe_int(value: int) -> str:
+    """str(value), or its size in bits past the integer-to-string limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit integer>"
+
+
 class TreeWienerError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -18,7 +26,8 @@ class NotDivisibleError(TreeWienerError):
         self.divisor = divisor
         self.remainder = remainder
         super().__init__(
-            f"{dividend} is not divisible by {divisor} (remainder {remainder})"
+            f"{_describe_int(dividend)} is not divisible by {_describe_int(divisor)}"
+            f" (remainder {_describe_int(remainder)})"
         )
 
 
@@ -33,7 +42,8 @@ class ResourceLimitError(TreeWienerError):
         self.required = required
         self.budget = budget
         super().__init__(
-            f"tree requires {required} nodes, exceeding the budget of {budget}"
+            f"tree requires {_describe_int(required)} nodes, exceeding the budget"
+            f" of {_describe_int(budget)}"
         )
 
 

@@ -8,9 +8,12 @@ against the brute-force oracles in treewiener.oracle.
 
 The closed forms cost O(log k) big-integer multiplications: each is a
 fixed combination of a few Fibonacci numbers, found by fast doubling, and of
-powers of two.  The recurrences iterate upward from base cases with rolling
-accumulators, without recursion, in O(k) big-integer operations per call.
-The convolution forms are O(k^2) and exist only as cross-check identities.
+powers of two.  The recurrences iterate upward, without recursion, in O(k)
+big-integer operations per call.  Each Fibonacci family has one loop that
+starts from the summaries below the family's floor and rolls W, D and the
+pair (F(i), F(i+1)) together, so it needs neither base cases nor a table of
+Fibonacci numbers.  The convolution forms are O(k^2) and exist only as
+cross-check identities.
 
 The binary Fibonacci Wiener recurrence is implemented in a corrected form:
 the textbook-style printed recurrence
@@ -88,19 +91,34 @@ def d_fib(k: int) -> int:
     return exact_div(k * fib(k + 2) + (k + 2) * fib(k), 5)
 
 
+def _fib_loop(k: int) -> tuple:
+    """(W(k), D(k), big-integer op count) of the order-k Fibonacci tree, by
+    the recurrences of wiener_fib and d_fib_recurrence, from orders -1 and 0,
+    single vertices with W = D = 0.  The op count tallies every big-integer
+    add and multiply performed, and is what the O(k)-arithmetic cost
+    contract is asserted against."""
+    if k < -1:
+        raise InvalidOrderError(f"fibonacci order must be >= -1, got {k}")
+    w_prev2 = w_prev = 0  # W(i-2), W(i-1)
+    d_prev2 = d_prev = 0  # D(i-2), D(i-1)
+    f, f_next = 1, 1  # F(i), F(i+1)
+    ops = 0
+    for _ in range(k):
+        w = w_prev + w_prev2 + f_next * d_prev2 + f * d_prev + f_next * f
+        w_prev2, w_prev = w_prev, w
+        d_prev2, d_prev = d_prev, d_prev + d_prev2 + f
+        f, f_next = f_next, f + f_next
+        ops += 10  # 3 muls + 4 adds for W; 2 adds for D; 1 add for F
+    return w_prev, d_prev, ops
+
+
 def d_fib_recurrence(k: int) -> int:
-    """Same value by iterating D(i) = D(i-1) + D(i-2) + F(i) from D(0) = 0,
-    D(1) = 1: the rightmost-attached order-(i-2) subtree sits one edge lower,
-    adding its F(i) vertices on top of both smaller distance sums."""
+    """Same value by iterating D(i) = D(i-1) + D(i-2) + F(i) from D(-1) =
+    D(0) = 0: the rightmost-attached order-(i-2) subtree sits one edge
+    lower, adding its F(i) vertices on top of both smaller distance sums."""
     if k < 0:
         raise InvalidOrderError(f"d_fib needs k >= 0, got {k}")
-    if k == 0:
-        return 0
-    f = fib_table(k)
-    d_prev2, d_prev = 0, 1
-    for i in range(2, k + 1):
-        d_prev2, d_prev = d_prev, d_prev + d_prev2 + f[i]
-    return d_prev
+    return _fib_loop(k)[1]
 
 
 def d_fib_convolution(k: int) -> int:
@@ -112,49 +130,21 @@ def d_fib_convolution(k: int) -> int:
     return sum(f[j] * f[k - j + 1] for j in range(1, k + 2))
 
 
-def _wiener_fib_counted(k: int) -> tuple:
-    """Shared evaluator for wiener_fib: returns (value, big-int op count).
-
-    One pass: build the Fibonacci table up to F(k+1) by additions, then roll
-    two Wiener accumulators and two distance-sum accumulators upward.  The
-    op count tallies every big-integer add and multiply performed, and is
-    what the O(k)-arithmetic cost contract is asserted against.
-    """
-    if k < -1:
-        raise InvalidOrderError(f"fibonacci order must be >= -1, got {k}")
-    if k <= 0:
-        return 0, 0
-    if k == 1:
-        return 1, 0
-    if k == 2:
-        return 4, 0
-    ops = k  # fib_table(k + 1) performs k additions
-    f = fib_table(k + 1)
-    w_prev2, w_prev = 1, 4  # W(1), W(2)
-    d_prev2, d_prev = 1, 2  # D(1), D(2)
-    for i in range(3, k + 1):
-        w = w_prev + w_prev2 + f[i + 1] * d_prev2 + f[i] * d_prev + f[i + 1] * f[i]
-        w_prev2, w_prev = w_prev, w
-        # D(i) = D(i-1) + D(i-2) + F(i), as in d_fib_recurrence.
-        d_prev2, d_prev = d_prev, d_prev + d_prev2 + f[i]
-        ops += 9  # 3 muls + 4 adds for w; 2 adds for D
-    return w_prev, ops
-
-
 def wiener_fib(k: int) -> int:
-    """W of the order-k Fibonacci tree by iterating
+    """W of the order-k Fibonacci tree by iterating compose.join written
+    out on the order-(i-1) and order-(i-2) trees, of F(i+1) and F(i) vertices,
 
         W(i) = W(i-1) + W(i-2) + F(i+1)*D(i-2) + F(i)*D(i-1) + F(i+1)*F(i)
 
-    from W(1) = 1, W(2) = 4, with D rolled alongside by its own recurrence
-    D(i) = D(i-1) + D(i-2) + F(i)."""
-    return _wiener_fib_counted(k)[0]
+    from W(-1) = W(0) = 0, with D rolled alongside by d_fib_recurrence's
+    step and F by additions."""
+    return _fib_loop(k)[0]
 
 
 def wiener_fib_op_count(k: int) -> int:
     """Number of big-integer operations wiener_fib(k) performs; grows
     linearly in k, i.e. logarithmically in the tree's F(k+2) vertex count."""
-    return _wiener_fib_counted(k)[1]
+    return _fib_loop(k)[2]
 
 
 def wiener_fib_closed(k: int) -> int:
@@ -186,19 +176,33 @@ def d_binfib(k: int) -> int:
     return exact_div((k - 3) * fib(k + 3) + 2 * (k - 2) * fib(k + 2), 5) + 2
 
 
+def _binfib_loop(k: int) -> tuple:
+    """(W(k), D(k)) of the order-k binary Fibonacci tree, by the recurrences
+    of wiener_binfib and d_binfib_recurrence, from order 0, the empty tree,
+    and order 1, both with W = D = 0.  At the first step, order 2, every term
+    that multiplies the empty right subtree's F(2) - 1 = 0 vertices vanishes."""
+    if k < 1:
+        raise InvalidOrderError(f"binary-fibonacci order must be >= 1, got {k}")
+    w_prev2 = w_prev = 0  # W(i-2), W(i-1)
+    d_prev2 = d_prev = 0  # D(i-2), D(i-1)
+    f, f_next = 1, 2  # F(i), F(i+1)
+    for _ in range(k - 1):
+        a = w_prev + d_prev + f_next - 1
+        d_a = d_prev + f_next - 1
+        w = a + w_prev2 + f_next * d_prev2 + (f - 1) * d_a + f_next * (f - 1)
+        w_prev2, w_prev = w_prev, w
+        d_prev2, d_prev = d_prev, d_a + d_prev2 + f - 1
+        f, f_next = f_next, f + f_next
+    return w_prev, d_prev
+
+
 def d_binfib_recurrence(k: int) -> int:
     """Same value by iterating D(i) = D(i-1) + D(i-2) + F(i+2) - 2 from
-    D(1) = 0, D(2) = 1: both subtrees hang one edge below the fresh root,
+    D(0) = D(1) = 0: both subtrees hang one edge below the fresh root,
     which adds one per vertex, F(i+2) - 2 in total."""
     if k < 1:
         raise InvalidOrderError(f"d_binfib needs k >= 1, got {k}")
-    if k == 1:
-        return 0
-    f = fib_table(k + 2)
-    d_prev2, d_prev = 0, 1
-    for i in range(3, k + 1):
-        d_prev2, d_prev = d_prev, d_prev + d_prev2 + f[i + 2] - 2
-    return d_prev
+    return _binfib_loop(k)[1]
 
 
 def d_binfib_convolution(k: int) -> int:
@@ -221,30 +225,13 @@ def wiener_binfib(k: int) -> int:
 
     and then that augmented tree is joined to the right subtree (order i-2):
 
-        W(i) = A + W(i-2) + F(i+1)*D(i-2) + (F(i)-1)*D_A + F(i+1)*(F(i)-1).
+        W(i) = A + W(i-2) + F(i+1)*D(i-2) + (F(i)-1)*D_A + F(i+1)*(F(i)-1),
 
-    D rolls alongside W by its own recurrence, so a call costs O(k)
-    big-integer operations and never touches the closed forms.  At i = 2
-    the right subtree is empty and the step degenerates to the pendant-root
-    attachment alone, giving the base W(2) = 1.
+    from W(0) = W(1) = 0.  D(i) = D_A + D(i-2) + F(i) - 1 rolls alongside W,
+    which is d_binfib_recurrence's step, and F by additions, so a call costs
+    O(k) big-integer operations and never touches the closed forms.
     """
-    if k < 1:
-        raise InvalidOrderError(f"binary-fibonacci order must be >= 1, got {k}")
-    if k == 1:
-        return 0
-    if k == 2:
-        return 1
-    f = fib_table(k + 1)
-    w_prev2, w_prev = 0, 1  # W(1), W(2)
-    d_prev2, d_prev = 0, 1  # D(1), D(2)
-    for i in range(3, k + 1):
-        a = w_prev + d_prev + f[i + 1] - 1
-        d_a = d_prev + f[i + 1] - 1
-        w = a + w_prev2 + f[i + 1] * d_prev2 + (f[i] - 1) * d_a + f[i + 1] * (f[i] - 1)
-        w_prev2, w_prev = w_prev, w
-        # D(i) = D(i-1) + D(i-2) + F(i+2) - 2, as in d_binfib_recurrence.
-        d_prev2, d_prev = d_prev, d_prev + d_prev2 + f[i + 1] + f[i] - 2
-    return w_prev
+    return _binfib_loop(k)[0]
 
 
 def wiener_binfib_closed(k: int) -> int:
@@ -272,11 +259,12 @@ def wiener_binfib_literal(k: int) -> int:
     """
     if k < 3:
         raise InvalidOrderError(f"the literal recurrence starts at k = 3, got {k}")
-    f = fib_table(k + 1)
     w_prev2, w_prev = 0, 1  # W(1), W(2)
+    f, f_next = 2, 3  # F(i), F(i+1)
     for i in range(3, k + 1):
         d1 = d_binfib(i - 1)
         d2 = d_binfib(i - 2)
-        w = w_prev + w_prev2 + f[i + 1] * d2 + (f[i] - 1) * d1 + f[i + 1] * (f[i] - 1)
+        w = w_prev + w_prev2 + f_next * d2 + (f - 1) * d1 + f_next * (f - 1)
         w_prev2, w_prev = w_prev, w
+        f, f_next = f_next, f + f_next
     return w_prev

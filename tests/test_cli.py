@@ -160,6 +160,25 @@ def test_generate_budget_exceeded_mentions_node_count(tmp_path, capsys):
     assert "1024" in err
 
 
+@needs_digit_limit
+@pytest.mark.parametrize("family,order", [
+    ("binomial", 4 * DIGIT_LIMIT),    # 2^k nodes: about 1.2 * limit digits
+    ("fibonacci", 7 * DIGIT_LIMIT),   # F(k+2) nodes: about 1.46 * limit digits
+])
+def test_generate_budget_error_past_digit_limit_exits_2(tmp_path, capsys,
+                                                        family, order):
+    # The node count has no decimal form; the message names its size instead.
+    out_file = tmp_path / "x.tree"
+    rc, out, err = run_cli(capsys, ["generate", "--family", family, "--order",
+                                    str(order), "--out", str(out_file)])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: tree requires <") and err.count("\n") == 1
+    assert "-bit integer> nodes, exceeding the budget of 4194304" in err
+    assert "Traceback" not in err
+    assert not out_file.exists()
+
+
 def test_compute_linear_on_path(tmp_path, capsys):
     f = tmp_path / "path3.tree"
     f.write_text("3\n0 1\n1 2\n")
@@ -318,11 +337,13 @@ def test_stdout_byte_identical_across_runs(capsys):
 
 
 def test_import_loads_no_process_pool():
-    # Every command starts by importing the CLI; it needs no worker pool.
+    # Every command starts by importing the CLI; it needs no worker pool,
+    # and no dataclass machinery (dataclasses pulls in inspect).
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
     code = (f"import sys; sys.path.insert(0, {src!r}); import treewiener.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing', "
+            "'dataclasses', 'inspect')))")
     proc = subprocess.run([sys.executable, "-I", "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -78,6 +78,14 @@ def test_exact_div_rejects_inexact():
     assert "11" in str(exc.value)
 
 
+def test_exact_div_rejects_inexact_past_digit_limit():
+    # The dividend may have no decimal form; the error is still typed.
+    with pytest.raises(NotDivisibleError) as exc:
+        exact_div((1 << 20000) | 1, 2)
+    assert exc.value.remainder == 1
+    assert "is not divisible by 2 (remainder 1)" in str(exc.value)
+
+
 def test_exact_div_zero_divisor():
     with pytest.raises(ZeroDivisionError):
         exact_div(11, 0)

@@ -246,6 +246,19 @@ def test_literal_recurrence_documented_divergence():
         wiener_binfib_literal(2)
 
 
+def test_recurrences_build_no_fibonacci_table(monkeypatch):
+    # The O(k) loops roll (F(i), F(i+1)) instead of holding F(0..k+1).
+    def no_table(n):
+        raise AssertionError(f"fib_table({n}) called")
+    monkeypatch.setattr("treewiener.formulas.fib_table", no_table)
+    assert wiener_fib(60) == wiener_fib_closed(60)
+    assert d_fib_recurrence(60) == d_fib(60)
+    assert wiener_binfib(60) == wiener_binfib_closed(60)
+    assert d_binfib_recurrence(60) == d_binfib(60)
+    for k, expected in BINFIB_W_LITERAL.items():
+        assert wiener_binfib_literal(k) == expected
+
+
 # ---------------------------------------------------------------------------
 # Closed forms of both Fibonacci families
 # ---------------------------------------------------------------------------
@@ -315,9 +328,14 @@ def test_fibonacci_closed_forms_equal_recurrences_finite_proof():
     their difference, which is zero everywhere once it is zero at
     k = 1..deg R: 8 orders for Fibonacci, 13 for binary Fibonacci.  The
     Fibonacci orders -1 and 0 lie below the window and are checked
-    directly.  The check runs from the floor to k = 399, far past both
-    bounds, plus k = 5000, and confirms that P and R annihilate the values
-    actually computed.
+    directly.  The loops start below each family's floor, so they also run
+    their step at i = 1, 2 (Fibonacci) and i = 2 (binary Fibonacci); the
+    argument needs the step only from i = 3, and the orders before that are
+    among those compared.  The D in g is the one d_fib_recurrence and
+    d_binfib_recurrence return, from the same loop, so criteria 3 and 4
+    (tests/test_acceptance.py) check the very D the W loops use.  The check
+    runs from the floor to k = 399, far past both bounds, plus k = 5000, and
+    confirms that P and R annihilate the values actually computed.
     """
     p_f = _poly_mul(X2_3X_1, X2_3X_1, X_PLUS_1, X_PLUS_1, X2_X_1)
     p_b = _poly_mul(p_f, X2_X_1)
