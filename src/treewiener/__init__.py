@@ -33,7 +33,6 @@ from treewiener.formulas import (
     wiener_binomial_recurrence,
     wiener_fib,
     wiener_fib_closed,
-    wiener_fib_op_count,
 )
 from treewiener.oracle import distance_sum, wiener_bfs, wiener_linear
 from treewiener.trees import (
@@ -95,6 +94,5 @@ __all__ = [
     "wiener_binomial_recurrence",
     "wiener_fib",
     "wiener_fib_closed",
-    "wiener_fib_op_count",
     "wiener_linear",
 ]

@@ -35,6 +35,12 @@ class TreeSummary(namedtuple("TreeSummary", "n w d_anchor")):
             raise ValueError("a single vertex has w = 0 and d_anchor = 0")
         return tuple.__new__(cls, (n, w, d_anchor))
 
+    @classmethod
+    def _make(cls, iterable):
+        """namedtuple's _make, which _replace calls, skips __new__ and so
+        the checks above; build through __new__ instead."""
+        return cls(*iterable)
+
     def astuple(self) -> tuple:
         return tuple(self)
 

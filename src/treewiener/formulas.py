@@ -92,24 +92,21 @@ def d_fib(k: int) -> int:
 
 
 def _fib_loop(k: int) -> tuple:
-    """(W(k), D(k), big-integer op count) of the order-k Fibonacci tree, by
-    the recurrences of wiener_fib and d_fib_recurrence, from orders -1 and 0,
-    single vertices with W = D = 0.  The op count tallies every big-integer
-    add and multiply performed, and is what the O(k)-arithmetic cost
-    contract is asserted against."""
+    """(W(k), D(k)) of the order-k Fibonacci tree, by the recurrences of
+    wiener_fib and d_fib_recurrence, from orders -1 and 0, single vertices
+    with W = D = 0.  A step is 3 multiplications and 4 additions for W, 2
+    additions for D and 1 for F; the tests count them as executed."""
     if k < -1:
         raise InvalidOrderError(f"fibonacci order must be >= -1, got {k}")
     w_prev2 = w_prev = 0  # W(i-2), W(i-1)
     d_prev2 = d_prev = 0  # D(i-2), D(i-1)
     f, f_next = 1, 1  # F(i), F(i+1)
-    ops = 0
     for _ in range(k):
         w = w_prev + w_prev2 + f_next * d_prev2 + f * d_prev + f_next * f
         w_prev2, w_prev = w_prev, w
         d_prev2, d_prev = d_prev, d_prev + d_prev2 + f
         f, f_next = f_next, f + f_next
-        ops += 10  # 3 muls + 4 adds for W; 2 adds for D; 1 add for F
-    return w_prev, d_prev, ops
+    return w_prev, d_prev
 
 
 def d_fib_recurrence(k: int) -> int:
@@ -139,12 +136,6 @@ def wiener_fib(k: int) -> int:
     from W(-1) = W(0) = 0, with D rolled alongside by d_fib_recurrence's
     step and F by additions."""
     return _fib_loop(k)[0]
-
-
-def wiener_fib_op_count(k: int) -> int:
-    """Number of big-integer operations wiener_fib(k) performs; grows
-    linearly in k, i.e. logarithmically in the tree's F(k+2) vertex count."""
-    return _fib_loop(k)[2]
 
 
 def wiener_fib_closed(k: int) -> int:

@@ -1,6 +1,9 @@
-"""Shared tree builders and comparisons for the test suite."""
+"""Shared tree builders, comparisons and the arithmetic counter for the
+test suite."""
 
+import dis
 import random
+import sys
 
 from treewiener.trees import RootedTree
 
@@ -33,3 +36,50 @@ def shape(tree: RootedTree) -> list:
         out.append(len(kids))
         stack.extend(reversed(kids))
     return out
+
+
+# The opcodes of binary arithmetic: BINARY_OP from Python 3.11 on; before,
+# one opcode per operator, plain and in-place, of which subscripting is not
+# arithmetic.
+if "BINARY_OP" in dis.opmap:
+    _ARITHMETIC = {dis.opmap["BINARY_OP"]}
+else:
+    _ARITHMETIC = {op for name, op in dis.opmap.items()
+                   if name.startswith(("BINARY_", "INPLACE_"))
+                   and name != "BINARY_SUBSCR"}
+
+
+def count_arithmetic(fn, *args) -> int:
+    """Number of binary arithmetic instructions (+, -, *, <<, // and the
+    rest) that fn(*args) executes in Python code, in every function it
+    calls included.  Arithmetic inside functions written in C, such as the
+    operands' own methods or sum(), is not seen.
+
+    Runs the call under sys.settrace with opcode events on, and restores
+    the tracer that was in force before, even when the call raises.
+    """
+    offsets = {}  # code object -> offsets of its arithmetic instructions
+    count = 0
+
+    def on_opcode(frame, event, arg):
+        nonlocal count
+        if event == "opcode" and frame.f_lasti in offsets[frame.f_code]:
+            count += 1
+        return on_opcode
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        if code not in offsets:
+            offsets[code] = {ins.offset for ins in dis.get_instructions(code)
+                             if ins.opcode in _ARITHMETIC}
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return on_opcode
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count

@@ -18,7 +18,6 @@ from treewiener.formulas import (
     wiener_binomial,
     wiener_binomial_recurrence,
     wiener_fib,
-    wiener_fib_op_count,
 )
 from treewiener.oracle import distance_sum, wiener_bfs, wiener_linear
 from treewiener.trees import (
@@ -30,7 +29,7 @@ from treewiener.trees import (
     node_count,
 )
 
-from helpers import random_tree
+from helpers import count_arithmetic, random_tree
 
 
 @contextmanager
@@ -166,7 +165,7 @@ def test_criterion_7_composition_algebra_soundness():
 def test_criterion_8_logarithmic_cost_property():
     with criterion(8, "fibonacci Wiener evaluator cost grows linearly in k "
                       "(ratios within 10%) and k=500 runs under 1 s"):
-        counts = {k: wiener_fib_op_count(k) for k in (100, 200, 400, 800)}
+        counts = {k: count_arithmetic(wiener_fib, k) for k in (100, 200, 400, 800)}
         for small, big in ((100, 200), (200, 400), (400, 800)):
             observed = counts[big] / counts[small]
             expected = big / small

@@ -29,6 +29,12 @@ def test_summary_validation():
         TreeSummary(3, -1, 0)
     with pytest.raises(ValueError):
         TreeSummary(1, 1, 0)
+    # namedtuple's _make and _replace must not bypass the checks
+    with pytest.raises(ValueError, match="summary needs n >= 1, got 0"):
+        TreeSummary._make((0, 5, 5))
+    with pytest.raises(ValueError, match="a single vertex has w = 0"):
+        SINGLE._replace(w=7)
+    assert EDGE._replace(n=3, w=4, d_anchor=2) == TreeSummary(3, 4, 2)
     assert SINGLE.astuple() == (1, 0, 0)
 
 

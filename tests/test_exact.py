@@ -33,6 +33,8 @@ def test_fib_table_matches_fib():
 def test_fib_rejects_negative():
     with pytest.raises(ValueError):
         fib(-1)
+    with pytest.raises(ValueError, match="fib_table expects n >= 0, got -1"):
+        fib_table(-1)
 
 
 def test_cassini_identity():

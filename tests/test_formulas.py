@@ -1,9 +1,12 @@
+import sys
 import time
+from functools import partial
 
 import pytest
 
 from treewiener.compose import replay_family
 from treewiener.errors import InvalidOrderError
+from treewiener.exact import fib
 from treewiener.formulas import (
     d_binfib,
     d_binfib_convolution,
@@ -20,10 +23,11 @@ from treewiener.formulas import (
     wiener_binomial_recurrence,
     wiener_fib,
     wiener_fib_closed,
-    wiener_fib_op_count,
 )
 from treewiener.oracle import distance_sum, wiener_bfs
 from treewiener.trees import TreeFamily, binary_fibonacci_tree, binomial_tree, fibonacci_tree
+
+from helpers import count_arithmetic
 
 # Ground truth frozen from breadth-first enumeration on materialized trees
 # (see tests/test_oracle.py for the enumeration route itself).
@@ -105,6 +109,12 @@ def test_wiener_binomial_three_routes_agree():
         assert closed == replay_family(TreeFamily.BINOMIAL, k).w
 
 
+def test_wiener_binomial_invalid_order():
+    for fn in (wiener_binomial, wiener_binomial_recurrence):
+        with pytest.raises(InvalidOrderError, match="binomial order must be >= 0, got -1"):
+            fn(-1)
+
+
 def test_wiener_binomial_matches_enumeration():
     for k, expected in enumerate(BINOMIAL_W):
         assert wiener_binomial(k) == expected
@@ -144,6 +154,12 @@ def test_d_fib_matches_tree_distance_sums():
         assert distance_sum(t, t.root) == expected
 
 
+def test_d_fib_invalid_order():
+    for fn in (d_fib, d_fib_recurrence, d_fib_convolution):
+        with pytest.raises(InvalidOrderError, match="d_fib needs k >= 0, got -1"):
+            fn(-1)
+
+
 @pytest.mark.parametrize("k,expected", [(-1, 0), (0, 0), (1, 1), (2, 4),
                                         (3, 18), (6, 666)])
 def test_wiener_fib_anchors(k, expected):
@@ -161,14 +177,6 @@ def test_wiener_fib_matches_enumeration():
 def test_wiener_fib_matches_replay():
     for k in range(-1, 301):
         assert wiener_fib(k) == replay_family(TreeFamily.FIBONACCI, k).w
-
-
-def test_wiener_fib_op_count_is_linear():
-    counts = {k: wiener_fib_op_count(k) for k in (100, 200, 400, 800)}
-    assert counts[100] > 0
-    for small, big in ((100, 200), (200, 400), (400, 800)):
-        ratio = counts[big] / counts[small]
-        assert abs(ratio - 2.0) <= 0.2, f"ops({big})/ops({small}) = {ratio}"
 
 
 def test_wiener_fib_large_order_is_fast():
@@ -216,6 +224,9 @@ def test_d_binfib_invalid_order():
         d_binfib(0)
     with pytest.raises(InvalidOrderError):
         wiener_binfib(0)
+    for fn in (d_binfib_recurrence, d_binfib_convolution):
+        with pytest.raises(InvalidOrderError, match="d_binfib needs k >= 1, got 0"):
+            fn(0)
 
 
 @pytest.mark.parametrize("k,expected", [(1, 0), (2, 1), (3, 10), (4, 50)])
@@ -352,3 +363,82 @@ def test_fibonacci_closed_forms_equal_recurrences_finite_proof():
         assert _annihilates(r, recurrence_values[from_one:])
         assert closed(5000) == recurrence(5000)
     assert (len(p_f) - 1, len(p_b) - 1, len(r_b) - 1) == (8, 10, 13)
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic cost of every route to W
+# ---------------------------------------------------------------------------
+
+# Every way the library computes W but the closed form wiener_binomial, by
+# the cost class its arithmetic instruction count must show as k doubles.
+LINEAR_W_ROUTES = {
+    "wiener_fib": wiener_fib,
+    "wiener_binfib": wiener_binfib,
+    "wiener_binomial_recurrence": wiener_binomial_recurrence,
+    **{f"replay_family[{family.value}]": partial(replay_family, family)
+       for family in TreeFamily},
+}
+LOGARITHMIC_W_ROUTES = {
+    "wiener_fib_closed": wiener_fib_closed,
+    "wiener_binfib_closed": wiener_binfib_closed,
+}
+
+
+def _wiener_fib_fib_per_step(k):
+    """wiener_fib's step with F(i) and F(i+1) found by fast doubling at
+    every step instead of rolled: right values in O(k log k) arithmetic, the
+    kind of slip the linear cost class must catch."""
+    w_prev2 = w_prev = 0
+    d_prev2 = d_prev = 0
+    for i in range(1, k + 1):
+        f, f_next = fib(i), fib(i + 1)
+        w = w_prev + w_prev2 + f_next * d_prev2 + f * d_prev + f_next * f
+        w_prev2, w_prev = w_prev, w
+        d_prev2, d_prev = d_prev, d_prev + d_prev2 + f
+    return w_prev
+
+
+def test_count_arithmetic_measures_the_fibonacci_step():
+    # Per step: 3 multiplications and 4 additions for W, 2 additions for D
+    # and 1 for F; the range loop and the order check are no arithmetic.
+    for k in list(range(1, 51)) + [800]:
+        assert count_arithmetic(wiener_fib, k) == 10 * k, f"k={k}"
+
+
+def test_count_arithmetic_restores_the_tracer():
+    def outer(frame, event, arg):
+        return None
+
+    before = sys.gettrace()
+    sys.settrace(outer)
+    try:
+        count_arithmetic(wiener_fib, 5)
+        assert sys.gettrace() is outer
+        with pytest.raises(InvalidOrderError):
+            count_arithmetic(wiener_fib, -2)
+        assert sys.gettrace() is outer
+    finally:
+        sys.settrace(before)
+    count_arithmetic(wiener_fib, 5)
+    assert sys.gettrace() is before
+
+
+def test_count_arithmetic_catches_a_superlinear_evaluator():
+    assert all(_wiener_fib_fib_per_step(k) == wiener_fib(k) for k in range(60))
+    counts = {k: count_arithmetic(_wiener_fib_fib_per_step, k)
+              for k in (100, 200, 400, 800)}
+    for k in (100, 200, 400):
+        assert counts[2 * k] / counts[k] > 2.2, f"k={k}: {counts}"
+
+
+def test_w_route_arithmetic_cost_classes():
+    for name, fn in LINEAR_W_ROUTES.items():
+        counts = {k: count_arithmetic(fn, k) for k in (100, 200, 400, 800)}
+        for k in (100, 200, 400):
+            ratio = counts[2 * k] / counts[k]
+            assert abs(ratio - 2.0) <= 0.2, f"{name}: ops({2 * k})/ops({k}) = {ratio}"
+    for name, fn in LOGARITHMIC_W_ROUTES.items():
+        low, high = count_arithmetic(fn, 100), count_arithmetic(fn, 800)
+        assert high < 1.5 * low, f"{name}: ops(800) = {high}, ops(100) = {low}"
+    counts = {count_arithmetic(wiener_binomial, k) for k in (100, 200, 400, 800)}
+    assert len(counts) == 1, f"wiener_binomial: {counts}"

@@ -194,6 +194,31 @@ GOLDEN_SHA256 = [
      '688359d6e20e6c06fb90a0dfb11d81289d6430487f3c3e9828b903465dea99de'),
 ]
 
+# SHA-256 over (order, exit code, stdout, stderr) of `closed-form --family F
+# --order K --method M` at every order K from the family's floor - 2 to 200,
+# captured from the commit before the hand-kept op tally was deleted.
+SWEEP_FLOORS = {"binomial": 0, "fibonacci": -1, "binary-fibonacci": 1}
+GOLDEN_SWEEPS = [
+    ('binomial', 'closed',
+     'bf7fe9ec95d6e4293c82a8a58dff9b2813be42e26f7dc70897270eb50a6dac9b'),
+    ('binomial', 'recurrence',
+     'bf7fe9ec95d6e4293c82a8a58dff9b2813be42e26f7dc70897270eb50a6dac9b'),
+    ('binomial', 'replay',
+     'da31701232dec7a29ea2378980f041b719213ea514fdb51af2d2a7209baf4a1c'),
+    ('fibonacci', 'closed',
+     '0f8e73f79b19debfffca6d24357ddc0ac65ecd0225b6f5300c09e8a7ec28dd74'),
+    ('fibonacci', 'recurrence',
+     '0f8e73f79b19debfffca6d24357ddc0ac65ecd0225b6f5300c09e8a7ec28dd74'),
+    ('fibonacci', 'replay',
+     'f14a562ad5dcf152a71fa9eb326ec788fa1c36da9cff6fd20a90db18f8566c34'),
+    ('binary-fibonacci', 'closed',
+     '62a9e7f23508fdde1975a45675405a2f0fe4d7039736c6f8920ac72d58bb96f4'),
+    ('binary-fibonacci', 'recurrence',
+     '62a9e7f23508fdde1975a45675405a2f0fe4d7039736c6f8920ac72d58bb96f4'),
+    ('binary-fibonacci', 'replay',
+     'e96ff46e7132436a62db857f68b22eff43b56d7b5e1763cd062285ab2074a7b4'),
+]
+
 # SHA-256 of the edge-list file `generate --family F --order K` writes.
 GOLDEN_FILES = [
     ('binomial', 0, '4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865'),
@@ -229,3 +254,16 @@ def test_golden_generated_file_digest(capsys, tmp_path, family, order, digest):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == ""
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family,method,digest", GOLDEN_SWEEPS,
+                         ids=[f"{f}-{m}" for f, m, _ in GOLDEN_SWEEPS])
+def test_golden_closed_form_sweep_digest(capsys, family, method, digest):
+    sweep = hashlib.sha256()
+    for order in range(SWEEP_FLOORS[family] - 2, 201):
+        argv = ["closed-form", "--family", family, "--order", str(order),
+                "--method", method]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        sweep.update(repr((order, code, captured.out, captured.err)).encode())
+    assert sweep.hexdigest() == digest

@@ -162,6 +162,18 @@ def test_serialize_two_nodes():
 def test_serialize_empty_tree():
     assert serialize(binary_fibonacci_tree(0)) == "0\n"
     assert parse("0\n").n == 0
+    assert RootedTree.from_parents([]).n == 0
+
+
+@pytest.mark.parametrize("parents,message", [
+    ([1, 0], "expected exactly one root, found 0"),
+    ([None, None], "expected exactly one root, found 2"),
+    ([None, 3], "parent id 3 of node 1 out of range"),
+    ([None, 2, 1], "parent list does not describe a connected tree"),
+], ids=["no-root", "two-roots", "parent-out-of-range", "cycle-cut-off"])
+def test_from_parents_rejects_non_trees(parents, message):
+    with pytest.raises(ValueError, match=message):
+        RootedTree.from_parents(parents)
 
 
 def test_parse_cycle_reports_line():
@@ -190,6 +202,9 @@ def test_parse_rejects_bad_input():
         parse("3\n0 1\n")  # disconnected: node 2 unreachable
     with pytest.raises(ParseError):
         parse("")
+    with pytest.raises(ParseError, match="edge line after a 0-node header") as exc:
+        parse("0\n0 1\n")
+    assert exc.value.line == 2
 
 
 def test_parse_duplicate_edge_reports_its_own_line():
