@@ -39,6 +39,28 @@ from treewiener.trees import (
 
 FAMILY_CHOICES = [f.value for f in TreeFamily]
 
+# Work caps on an order, checked before any evaluation starts; both sit far
+# above the largest order a benchmark request asks for (12,000).
+#
+# MAX_RESULT_BITS caps --method closed by a bound on W's bit length that k
+# alone gives: from order 0 on, every family has at most 2^k vertices, any
+# two at most 2k edges apart, so W < k * 4^k has at most 2k + k.bit_length()
+# bits.  At the cap a Fibonacci closed form (k near 4.2 million) takes
+# seconds, and the binomial one is a shift.
+MAX_RESULT_BITS = 1 << 23
+# MAX_LINEAR_ORDER caps k for the O(k) routes, recurrence and replay, whose
+# integers grow with k, so that their time grows like k^2: replay takes tens
+# of seconds at the cap.  It also caps the --max-order of verify and bench,
+# which run replay at every order of their sweep.
+MAX_LINEAR_ORDER = 50_000
+
+
+def _check_linear_order(k: int, what: str) -> None:
+    if k > MAX_LINEAR_ORDER:
+        raise TreeWienerError(
+            f"{what} {k} exceeds the cap of {MAX_LINEAR_ORDER} on the order of "
+            "the O(k) recurrence and replay routes")
+
 
 def _verify_order(family: TreeFamily, k: int, node_budget: int) -> dict:
     """Compare every evaluation route for one order; oracles only run while
@@ -71,6 +93,7 @@ def _orders(family: TreeFamily, max_order: int) -> range:
     start = family.spec.min_summary_order
     if max_order < start:
         raise InvalidOrderError(f"--max-order must be >= {start} for {family.value}")
+    _check_linear_order(max_order, "--max-order")
     return range(start, max_order + 1)
 
 
@@ -130,11 +153,18 @@ def cmd_closed_form(args) -> int:
     family = TreeFamily(args.family)
     k = args.order
     if args.method == "closed":
+        bits = 2 * k + k.bit_length()
+        if bits > MAX_RESULT_BITS:
+            raise TreeWienerError(
+                f"order {k} exceeds the cap on the closed form's result: W may "
+                f"need {bits} bits, more than {MAX_RESULT_BITS}")
         value = family.spec.closed(k)
-    elif args.method == "recurrence":
-        value = family.spec.recurrence(k)
     else:
-        value = compose.replay_family(family, k).w
+        _check_linear_order(k, "order")
+        if args.method == "recurrence":
+            value = family.spec.recurrence(k)
+        else:
+            value = compose.replay_family(family, k).w
     value = _decimal(value)
     if args.json:
         print(json.dumps({"family": family.value, "order": k,

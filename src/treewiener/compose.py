@@ -68,12 +68,16 @@ def join(a: TreeSummary, b: TreeSummary) -> TreeSummary:
 
     Every cross pair travels the new edge once, hence the extra n_a * n_b.
     The result is anchored at a's anchor u; each b-vertex sits one edge
-    farther from u than from b's anchor, hence d_anchor gains b.n.
+    farther from u than from b's anchor, hence d_anchor gains b.n.  The
+    cross pairs' distances sum to a.n * (b.d_anchor + b.n) + b.n * a.d_anchor,
+    two multiplications, and b.d_anchor + b.n is also the distance sum from
+    u to b's side, so the new anchor sum reuses it.
     """
+    b_from_u = b.d_anchor + b.n
     return TreeSummary(
         n=a.n + b.n,
-        w=a.w + b.w + a.n * b.d_anchor + b.n * a.d_anchor + a.n * b.n,
-        d_anchor=a.d_anchor + b.d_anchor + b.n,
+        w=a.w + b.w + a.n * b_from_u + b.n * a.d_anchor,
+        d_anchor=a.d_anchor + b_from_u,
     )
 
 

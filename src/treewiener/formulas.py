@@ -9,11 +9,12 @@ against the brute-force oracles in treewiener.oracle.
 The closed forms cost O(log k) big-integer multiplications: each is a
 fixed combination of a few Fibonacci numbers, found by fast doubling, and of
 powers of two.  The recurrences iterate upward, without recursion, in O(k)
-big-integer operations per call.  Each Fibonacci family has one loop that
-starts from the summaries below the family's floor and rolls W, D and the
-pair (F(i), F(i+1)) together, so it needs neither base cases nor a table of
-Fibonacci numbers.  The convolution forms are O(k^2) and exist only as
-cross-check identities.
+big-integer additions and shifts per call, and multiply no growing integer.
+Each Fibonacci family has one loop that starts from the summaries below the
+family's floor and rolls W, D, the pair (F(i), F(i+1)) and the products of
+W's step together, so it needs neither base cases nor a table of Fibonacci
+numbers.  The convolution forms are O(k^2) and exist only as cross-check
+identities.
 
 The binary Fibonacci Wiener recurrence is implemented in a corrected form:
 the textbook-style printed recurrence
@@ -70,12 +71,13 @@ def wiener_binomial(k: int) -> int:
 
 
 def wiener_binomial_recurrence(k: int) -> int:
-    """Same value by iterating W(i) = 2 * W(i-1) + i * 2^(2i-2) from W(0) = 0."""
+    """Same value by iterating W(i) = 2 * W(i-1) + i * 2^(2i-2) from W(0) = 0,
+    both products as shifts."""
     if k < 0:
         raise InvalidOrderError(f"binomial order must be >= 0, got {k}")
     w = 0
     for i in range(1, k + 1):
-        w = 2 * w + i * pow2(2 * i - 2)
+        w = (w << 1) + (i << (i + i - 2))
     return w
 
 
@@ -94,18 +96,33 @@ def d_fib(k: int) -> int:
 def _fib_loop(k: int) -> tuple:
     """(W(k), D(k)) of the order-k Fibonacci tree, by the recurrences of
     wiener_fib and d_fib_recurrence, from orders -1 and 0, single vertices
-    with W = D = 0.  A step is 3 multiplications and 4 additions for W, 2
-    additions for D and 1 for F; the tests count them as executed."""
+    with W = D = 0.
+
+    W's step needs the products F(i+1)*D(i-2), F(i)*D(i-1) and F(i+1)*F(i).
+    F and D obey linear recurrences, so their products do as well: the loop
+    carries the cross products {F(i), F(i+1)} x {D(i-2), D(i-1)} and the
+    squares and product of F(i), F(i+1), and takes each to the next order as
+    a sum of the others.  A step is therefore additions only; no growing
+    integer is ever multiplied.  The tests count the operations as executed.
+    """
     if k < -1:
         raise InvalidOrderError(f"fibonacci order must be >= -1, got {k}")
     w_prev2 = w_prev = 0  # W(i-2), W(i-1)
     d_prev2 = d_prev = 0  # D(i-2), D(i-1)
-    f, f_next = 1, 1  # F(i), F(i+1)
+    f, fn = 1, 1  # F(i), F(i+1)
+    f_d2 = f_d1 = fn_d2 = fn_d1 = 0  # F(i)*D(i-2), F(i)*D(i-1), F(i+1)*...
+    f_f = f_fn = fn_fn = 1  # F(i)^2, F(i)*F(i+1), F(i+1)^2
     for _ in range(k):
-        w = w_prev + w_prev2 + f_next * d_prev2 + f * d_prev + f_next * f
+        cross = fn_d2 + f_fn  # F(i+1)*(D(i-2) + F(i))
+        w = w_prev + w_prev2 + f_d1 + cross
         w_prev2, w_prev = w_prev, w
+        # Each product one order up, by D(i) = D(i-1) + D(i-2) + F(i) and
+        # F(i+2) = F(i) + F(i+1).
+        fn_d = fn_d1 + cross  # F(i+1)*D(i)
+        f_d2, f_d1, fn_d2, fn_d1 = fn_d1, fn_d, f_d1 + fn_d1, f_d1 + f_d2 + f_f + fn_d
+        f_f, f_fn, fn_fn = fn_fn, f_fn + fn_fn, f_f + f_fn + f_fn + fn_fn
         d_prev2, d_prev = d_prev, d_prev + d_prev2 + f
-        f, f_next = f_next, f + f_next
+        f, fn = fn, f + fn
     return w_prev, d_prev
 
 
@@ -134,7 +151,7 @@ def wiener_fib(k: int) -> int:
         W(i) = W(i-1) + W(i-2) + F(i+1)*D(i-2) + F(i)*D(i-1) + F(i+1)*F(i)
 
     from W(-1) = W(0) = 0, with D rolled alongside by d_fib_recurrence's
-    step and F by additions."""
+    step, and F and the three products by additions (see _fib_loop)."""
     return _fib_loop(k)[0]
 
 
@@ -171,19 +188,38 @@ def _binfib_loop(k: int) -> tuple:
     """(W(k), D(k)) of the order-k binary Fibonacci tree, by the recurrences
     of wiener_binfib and d_binfib_recurrence, from order 0, the empty tree,
     and order 1, both with W = D = 0.  At the first step, order 2, every term
-    that multiplies the empty right subtree's F(2) - 1 = 0 vertices vanishes."""
+    that multiplies the empty right subtree's F(2) - 1 = 0 vertices vanishes.
+
+    Multiplied out, wiener_binfib's step is
+
+        W(i) = W(i-1) + W(i-2) + F(i+1)*D(i-2) + F(i)*D(i-1)
+               + 2*F(i)*F(i+1) - F(i) - F(i+1),
+
+    and D(i) = D(i-1) + D(i-2) + F(i) + F(i+1) - 2.  As in _fib_loop, the
+    cross products {F(i), F(i+1)} x {D(i-2), D(i-1)} and the squares and
+    product of F(i), F(i+1) are carried and rolled by sums of one another,
+    now with the affine -1 and -2 terms of D carried along as multiples of
+    F(i) and F(i+1).  A step is additions only.
+    """
     if k < 1:
         raise InvalidOrderError(f"binary-fibonacci order must be >= 1, got {k}")
     w_prev2 = w_prev = 0  # W(i-2), W(i-1)
     d_prev2 = d_prev = 0  # D(i-2), D(i-1)
-    f, f_next = 1, 2  # F(i), F(i+1)
+    f, fn = 1, 2  # F(i), F(i+1)
+    f_d2 = f_d1 = fn_d2 = fn_d1 = 0  # F(i)*D(i-2), F(i)*D(i-1), F(i+1)*...
+    f_f, f_fn, fn_fn = 1, 2, 4  # F(i)^2, F(i)*F(i+1), F(i+1)^2
     for _ in range(k - 1):
-        a = w_prev + d_prev + f_next - 1
-        d_a = d_prev + f_next - 1
-        w = a + w_prev2 + f_next * d_prev2 + (f - 1) * d_a + f_next * (f - 1)
+        cross = fn_d2 + f_fn - fn  # F(i+1)*(D(i-2) + F(i) - 1)
+        w = w_prev + w_prev2 + f_d1 + cross + f_fn - f
         w_prev2, w_prev = w_prev, w
-        d_prev2, d_prev = d_prev, d_a + d_prev2 + f - 1
-        f, f_next = f_next, f + f_next
+        # Each product one order up, by D(i) = D(i-1) + D(i-2) + F(i) +
+        # F(i+1) - 2 and F(i+2) = F(i) + F(i+1).
+        fn_d = fn_d1 + cross + fn_fn - fn  # F(i+1)*D(i)
+        f_d = f_d1 + f_d2 + f_f + f_fn - f - f  # F(i)*D(i)
+        f_d2, f_d1, fn_d2, fn_d1 = fn_d1, fn_d, f_d1 + fn_d1, f_d + fn_d
+        f_f, f_fn, fn_fn = fn_fn, f_fn + fn_fn, f_f + f_fn + f_fn + fn_fn
+        d_prev2, d_prev = d_prev, d_prev + d_prev2 + f + fn - 2
+        f, fn = fn, f + fn
     return w_prev, d_prev
 
 
@@ -219,8 +255,9 @@ def wiener_binfib(k: int) -> int:
         W(i) = A + W(i-2) + F(i+1)*D(i-2) + (F(i)-1)*D_A + F(i+1)*(F(i)-1),
 
     from W(0) = W(1) = 0.  D(i) = D_A + D(i-2) + F(i) - 1 rolls alongside W,
-    which is d_binfib_recurrence's step, and F by additions, so a call costs
-    O(k) big-integer operations and never touches the closed forms.
+    which is d_binfib_recurrence's step, and F and the products by additions
+    (see _binfib_loop), so a call costs O(k) big-integer additions and never
+    touches the closed forms.
     """
     return _binfib_loop(k)[0]
 

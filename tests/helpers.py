@@ -38,27 +38,40 @@ def shape(tree: RootedTree) -> list:
     return out
 
 
-# The opcodes of binary arithmetic: BINARY_OP from Python 3.11 on; before,
-# one opcode per operator, plain and in-place, of which subscripting is not
-# arithmetic.
+# The opcodes of binary arithmetic: BINARY_OP from Python 3.11 on, whose
+# argrepr names the operator ("*", or "*=" in place); before, one opcode per
+# operator, plain and in place, of which subscripting is not arithmetic.
 if "BINARY_OP" in dis.opmap:
     _ARITHMETIC = {dis.opmap["BINARY_OP"]}
+
+    def _operator(ins) -> str:
+        return ins.argrepr.rstrip("=")
 else:
     _ARITHMETIC = {op for name, op in dis.opmap.items()
                    if name.startswith(("BINARY_", "INPLACE_"))
                    and name != "BINARY_SUBSCR"}
+    _OPERATORS = {"ADD": "+", "SUBTRACT": "-", "MULTIPLY": "*",
+                  "MATRIX_MULTIPLY": "@", "TRUE_DIVIDE": "/",
+                  "FLOOR_DIVIDE": "//", "MODULO": "%", "POWER": "**",
+                  "LSHIFT": "<<", "RSHIFT": ">>", "AND": "&", "OR": "|",
+                  "XOR": "^"}
+
+    def _operator(ins) -> str:
+        return _OPERATORS[ins.opname.split("_", 1)[1]]
 
 
-def count_arithmetic(fn, *args) -> int:
+def count_arithmetic(fn, *args, operators=None) -> int:
     """Number of binary arithmetic instructions (+, -, *, <<, // and the
     rest) that fn(*args) executes in Python code, in every function it
-    calls included.  Arithmetic inside functions written in C, such as the
-    operands' own methods or sum(), is not seen.
+    calls included.  With operators, a set such as {"*"}, only those
+    operators count, each in its plain and its in-place form.  Arithmetic
+    inside functions written in C, such as the operands' own methods or
+    sum(), is not seen.
 
     Runs the call under sys.settrace with opcode events on, and restores
     the tracer that was in force before, even when the call raises.
     """
-    offsets = {}  # code object -> offsets of its arithmetic instructions
+    offsets = {}  # code object -> offsets of its counted instructions
     count = 0
 
     def on_opcode(frame, event, arg):
@@ -71,7 +84,8 @@ def count_arithmetic(fn, *args) -> int:
         code = frame.f_code
         if code not in offsets:
             offsets[code] = {ins.offset for ins in dis.get_instructions(code)
-                             if ins.opcode in _ARITHMETIC}
+                             if ins.opcode in _ARITHMETIC
+                             and (operators is None or _operator(ins) in operators)}
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
         return on_opcode

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -99,6 +100,49 @@ def test_closed_form_past_digit_limit_exits_2(capsys, extra):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family", cli.FAMILY_CHOICES)
+@pytest.mark.parametrize("method", ["closed", "recurrence", "replay"])
+def test_closed_form_order_past_cap_exits_2_at_once(capsys, family, method):
+    # binomial closed would otherwise ask for 2^(2 * 10^10) first.
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["closed-form", "--family", family, "--order",
+                                    str(10**10), "--method", method])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: order 10000000000 exceeds the cap")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_sweep_max_order_past_cap_exits_2_at_once(capsys, command):
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, [command, "--family", "fibonacci",
+                                    "--max-order", "1000000000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: --max-order 1000000000 exceeds the cap of "
+                   f"{cli.MAX_LINEAR_ORDER} on the order of the O(k) "
+                   "recurrence and replay routes\n")
+
+
+def test_order_caps_refuse_just_past_their_bounds(capsys, monkeypatch):
+    # The caps sit far above the benchmark's largest order, 12,000.  The
+    # evaluators are stubbed: only the orders at the caps are under test.
+    monkeypatch.setattr(formulas, "wiener_binomial", lambda k: 0)
+    monkeypatch.setattr(formulas, "wiener_fib", lambda k: 0)
+    top = max(k for k in range(cli.MAX_RESULT_BITS // 2 - 32, cli.MAX_RESULT_BITS // 2)
+              if 2 * k + k.bit_length() <= cli.MAX_RESULT_BITS)
+    cases = [("binomial", "closed", top), ("fibonacci", "recurrence", cli.MAX_LINEAR_ORDER)]
+    for family, method, k in cases:
+        assert k > 4 * 12_000
+        argv = ["closed-form", "--family", family, "--method", method, "--order"]
+        assert run_cli(capsys, argv + [str(k)]) == (0, "0\n", "")
+        rc, out, err = run_cli(capsys, argv + [str(k + 1)])
+        assert (rc, out) == (2, "") and "exceeds the cap" in err
 
 
 @needs_digit_limit

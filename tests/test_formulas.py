@@ -4,6 +4,7 @@ from functools import partial
 
 import pytest
 
+from treewiener import compose
 from treewiener.compose import replay_family
 from treewiener.errors import InvalidOrderError
 from treewiener.exact import fib
@@ -258,16 +259,30 @@ def test_literal_recurrence_documented_divergence():
 
 
 def test_recurrences_build_no_fibonacci_table(monkeypatch):
-    # The O(k) loops roll (F(i), F(i+1)) instead of holding F(0..k+1).
-    def no_table(n):
-        raise AssertionError(f"fib_table({n}) called")
-    monkeypatch.setattr("treewiener.formulas.fib_table", no_table)
-    assert wiener_fib(60) == wiener_fib_closed(60)
-    assert d_fib_recurrence(60) == d_fib(60)
-    assert wiener_binfib(60) == wiener_binfib_closed(60)
-    assert d_binfib_recurrence(60) == d_binfib(60)
+    # The O(k) loops roll (F(i), F(i+1)) instead of holding F(0..k+1), and
+    # never reach fast doubling, exact division or the closed forms they are
+    # checked against.  The literal recurrence calls d_binfib at every step,
+    # so it runs before the closed forms are taken away.
+    def refuse(name):
+        def fn(*args):
+            raise AssertionError(f"{name}{args} called")
+        return fn
+
+    closed = {"wiener_fib": wiener_fib_closed(60), "d_fib": d_fib(60),
+              "wiener_binfib": wiener_binfib_closed(60), "d_binfib": d_binfib(60)}
+    monkeypatch.setattr("treewiener.formulas.fib_table", refuse("fib_table"))
     for k, expected in BINFIB_W_LITERAL.items():
         assert wiener_binfib_literal(k) == expected
+    for name in ("fib", "exact_div", "d_fib", "d_binfib", "wiener_fib_closed",
+                 "wiener_binfib_closed"):
+        monkeypatch.setattr(f"treewiener.formulas.{name}", refuse(name))
+    assert {k: wiener_fib(k) for k in FIB_W} == FIB_W
+    assert [d_fib_recurrence(k) for k in range(len(FIB_D))] == FIB_D
+    assert {k: wiener_binfib(k) for k in BINFIB_W} == BINFIB_W
+    assert {k: d_binfib_recurrence(k) for k in BINFIB_D} == BINFIB_D
+    assert closed == {"wiener_fib": wiener_fib(60), "d_fib": d_fib_recurrence(60),
+                      "wiener_binfib": wiener_binfib(60),
+                      "d_binfib": d_binfib_recurrence(60)}
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +414,23 @@ def _wiener_fib_fib_per_step(k):
 
 
 def test_count_arithmetic_measures_the_fibonacci_step():
-    # Per step: 3 multiplications and 4 additions for W, 2 additions for D
-    # and 1 for F; the range loop and the order check are no arithmetic.
+    # Per step: 4 additions for W (one shared with the products), 2 for D,
+    # 1 for F, 6 to roll the four F*D cross products and 4 the three F*F
+    # products; the range loop and the order check are no arithmetic.
     for k in list(range(1, 51)) + [800]:
-        assert count_arithmetic(wiener_fib, k) == 10 * k, f"k={k}"
+        assert count_arithmetic(wiener_fib, k) == 16 * k, f"k={k}"
+
+
+def test_count_arithmetic_counts_chosen_operators():
+    def step(x):
+        x *= 3
+        x <<= 2
+        return x * x + 1
+
+    assert count_arithmetic(step, 2) == 4
+    assert count_arithmetic(step, 2, operators={"*"}) == 2
+    assert count_arithmetic(step, 2, operators={"<<", "+"}) == 2
+    assert count_arithmetic(step, 2, operators={"//"}) == 0
 
 
 def test_count_arithmetic_restores_the_tracer():
@@ -442,3 +470,31 @@ def test_w_route_arithmetic_cost_classes():
         assert high < 1.5 * low, f"{name}: ops(800) = {high}, ops(100) = {low}"
     counts = {count_arithmetic(wiener_binomial, k) for k in (100, 200, 400, 800)}
     assert len(counts) == 1, f"wiener_binomial: {counts}"
+
+
+def test_recurrences_multiply_no_growing_integer():
+    # F, D and the products of W's step are rolled by additions and the
+    # binomial powers of two are shifts, so the count of "*" cannot grow
+    # with k; it is in fact zero.
+    for fn in (wiener_fib, wiener_binfib, d_fib_recurrence, d_binfib_recurrence,
+               wiener_binomial_recurrence):
+        counts = [count_arithmetic(fn, k, operators={"*"}) for k in (100, 800)]
+        assert counts[0] == counts[1], f"{fn.__name__}: {counts}"
+
+
+def test_replay_multiplies_twice_per_join(monkeypatch):
+    joins = 0
+    real_join = compose.join
+
+    def counted_join(a, b):
+        nonlocal joins
+        joins += 1
+        return real_join(a, b)
+
+    monkeypatch.setattr(compose, "join", counted_join)
+    for family in TreeFamily:
+        for k in (100, 800):
+            joins = 0
+            products = count_arithmetic(replay_family, family, k, operators={"*"})
+            assert joins >= k - 1
+            assert products == 2 * joins, f"{family.value} k={k}: {products}, {joins} joins"
