@@ -51,15 +51,17 @@ MAX_RESULT_BITS = 1 << 23
 # MAX_LINEAR_ORDER caps k for the O(k) routes, recurrence and replay, whose
 # integers grow with k, so that their time grows like k^2: replay takes tens
 # of seconds at the cap.  It also caps the --max-order of verify and bench,
-# which run replay at every order of their sweep.
+# which run replay at every order of their sweep, and the order of generate,
+# whose node count (2^k or a Fibonacci number near phi^k) is computed before
+# the node budget can refuse it.
 MAX_LINEAR_ORDER = 50_000
 
 
-def _check_linear_order(k: int, what: str) -> None:
+def _check_linear_order(k: int, what: str,
+                        capped: str = "the O(k) recurrence and replay routes") -> None:
     if k > MAX_LINEAR_ORDER:
         raise TreeWienerError(
-            f"{what} {k} exceeds the cap of {MAX_LINEAR_ORDER} on the order of "
-            "the O(k) recurrence and replay routes")
+            f"{what} {k} exceeds the cap of {MAX_LINEAR_ORDER} on the order of {capped}")
 
 
 def _verify_order(family: TreeFamily, k: int, node_budget: int) -> dict:
@@ -176,6 +178,7 @@ def cmd_closed_form(args) -> int:
 
 def cmd_generate(args) -> int:
     family = TreeFamily(args.family)
+    _check_linear_order(args.order, "order", "a generated tree")
     tree = generate(family, args.order, max_nodes=args.max_nodes)
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write(serialize(tree))

@@ -2,7 +2,8 @@
 
 Python ints are already exact at any magnitude, so this module only adds the
 three pieces the rest of the library leans on: Fibonacci numbers by fast
-doubling, powers of two, and division that refuses to be inexact.
+doubling, singly or as the pair (F(n), F(n+1)), powers of two, and division
+that refuses to be inexact.
 
 Fibonacci convention: F(0) = 0, F(1) = F(2) = 1.
 """
@@ -10,14 +11,14 @@ Fibonacci convention: F(0) = 0, F(1) = F(2) = 1.
 from treewiener.errors import NotDivisibleError
 
 
-def fib(n: int) -> int:
-    """n-th Fibonacci number in O(log n) big-integer multiplications.
+def fib_pair(n: int) -> tuple[int, int]:
+    """(F(n), F(n+1)) in O(log n) big-integer multiplications.
 
     Fast doubling over the bits of n, using
     F(2m) = F(m) * (2*F(m+1) - F(m)) and F(2m+1) = F(m)^2 + F(m+1)^2.
     """
     if n < 0:
-        raise ValueError(f"fib expects n >= 0, got {n}")
+        raise ValueError(f"fib_pair expects n >= 0, got {n}")
     a, b = 0, 1  # F(m), F(m+1) with m = prefix of n consumed so far
     for i in range(n.bit_length() - 1, -1, -1):
         c = a * (2 * b - a)
@@ -26,7 +27,14 @@ def fib(n: int) -> int:
             a, b = d, c + d
         else:
             a, b = c, d
-    return a
+    return a, b
+
+
+def fib(n: int) -> int:
+    """n-th Fibonacci number, the first of fib_pair(n)."""
+    if n < 0:
+        raise ValueError(f"fib expects n >= 0, got {n}")
+    return fib_pair(n)[0]
 
 
 def fib_table(n: int) -> list[int]:

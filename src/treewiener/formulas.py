@@ -7,14 +7,15 @@ convolution sum) precisely so tests can play them against one another and
 against the brute-force oracles in treewiener.oracle.
 
 The closed forms cost O(log k) big-integer multiplications: each is a
-fixed combination of a few Fibonacci numbers, found by fast doubling, and of
-powers of two.  The recurrences iterate upward, without recursion, in O(k)
-big-integer additions and shifts per call, and multiply no growing integer.
-Each Fibonacci family has one loop that starts from the summaries below the
-family's floor and rolls W, D, the pair (F(i), F(i+1)) and the products of
-W's step together, so it needs neither base cases nor a table of Fibonacci
-numbers.  The convolution forms are O(k^2) and exist only as cross-check
-identities.
+fixed combination of a few Fibonacci numbers and of powers of two, and the
+two Fibonacci closed forms take all of theirs, F(k), F(k+1), F(2k) and
+F(2k+1), from one fast-doubling pass.  The recurrences iterate upward,
+without recursion, in O(k) big-integer additions and shifts per call, and
+multiply no growing integer.  Each Fibonacci family has one loop that
+starts from the summaries below the family's floor and rolls W, D, the pair
+(F(i), F(i+1)) and the products of W's step together, so it needs neither
+base cases nor a table of Fibonacci numbers.  The convolution forms are
+O(k^2) and exist only as cross-check identities.
 
 The binary Fibonacci Wiener recurrence is implemented in a corrected form:
 the textbook-style printed recurrence
@@ -30,7 +31,7 @@ wiener_binfib_literal to document the divergence (first at k = 3: 5 vs 10).
 """
 
 from treewiener.errors import InvalidOrderError
-from treewiener.exact import exact_div, fib, fib_table, pow2
+from treewiener.exact import exact_div, fib, fib_pair, fib_table, pow2
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +156,14 @@ def wiener_fib(k: int) -> int:
     return _fib_loop(k)[0]
 
 
+def _fib_doubled(k: int) -> tuple:
+    """(F(k), F(k+1), F(2k), F(2k+1)), the Fibonacci numbers the two
+    Fibonacci closed forms combine: one fast-doubling pass to (F(k), F(k+1))
+    and one more doubling step."""
+    f, fn = fib_pair(k)
+    return f, fn, f * (2 * fn - f), f * f + fn * fn
+
+
 def wiener_fib_closed(k: int) -> int:
     """W of the order-k Fibonacci tree in closed form,
 
@@ -167,9 +176,10 @@ def wiener_fib_closed(k: int) -> int:
         raise InvalidOrderError(f"fibonacci order must be >= -1, got {k}")
     if k <= 0:
         return 0
+    f, _, f2, f2n = _fib_doubled(k)
     sign = -1 if k & 1 else 1
-    return exact_div((10 * k - 11) * fib(2 * k) + (20 * k - 8) * fib(2 * k + 1)
-                     + (8 - 10 * k) * sign + 25 * fib(k), 50)
+    return exact_div((10 * k - 11) * f2 + (20 * k - 8) * f2n
+                     + (8 - 10 * k) * sign + 25 * f, 50)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +283,11 @@ def wiener_binfib_closed(k: int) -> int:
     (tests/test_formulas.py)."""
     if k < 1:
         raise InvalidOrderError(f"binary-fibonacci order must be >= 1, got {k}")
+    f, fn, f2, f2n = _fib_doubled(k)
     sign = -1 if k & 1 else 1
-    return exact_div((30 * k - 124) * fib(2 * k) + (50 * k - 197) * fib(2 * k + 1)
-                     + (22 - 10 * k) * sign + (30 * k + 155) * fib(k)
-                     + (40 * k + 175) * fib(k + 1), 50)
+    return exact_div((30 * k - 124) * f2 + (50 * k - 197) * f2n
+                     + (22 - 10 * k) * sign + (30 * k + 155) * f
+                     + (40 * k + 175) * fn, 50)
 
 
 def wiener_binfib_literal(k: int) -> int:

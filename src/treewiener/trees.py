@@ -104,15 +104,6 @@ class RootedTree:
                     stack.append(c)
         return seen == self.n
 
-    def adjacency(self) -> list:
-        """Undirected adjacency lists (children plus parent per node)."""
-        adj = [list(self.children[u]) for u in range(self.n)]
-        for u in range(self.n):
-            p = self.parent[u]
-            if p is not None:
-                adj[u].append(p)
-        return adj
-
     def degree(self, v: int) -> int:
         return len(self.children[v]) + (0 if self.parent[v] is None else 1)
 

@@ -1,5 +1,5 @@
-"""Shared tree builders, comparisons and the arithmetic counter for the
-test suite."""
+"""Shared tree builders, comparisons, the one-search-at-a-time BFS
+reference and the arithmetic counter for the test suite."""
 
 import dis
 import random
@@ -21,6 +21,49 @@ def path_tree(n: int) -> RootedTree:
 def star_tree(n: int) -> RootedTree:
     """One center with n - 1 leaves."""
     return RootedTree.from_parents([None] + [0] * (n - 1))
+
+
+def relabel(rng: random.Random, tree: RootedTree) -> RootedTree:
+    """The same tree with its ids randomly permuted: the root gets a random
+    id, and ids are no longer in preorder."""
+    perm = list(range(tree.n))
+    rng.shuffle(perm)
+    parents = [None] * tree.n
+    for v, p in enumerate(tree.parent):
+        parents[perm[v]] = None if p is None else perm[p]
+    return RootedTree.from_parents(parents)
+
+
+def adjacency(tree: RootedTree) -> list:
+    """Undirected adjacency lists (children plus parent per node)."""
+    adj = [list(tree.children[u]) for u in range(tree.n)]
+    for u in range(tree.n):
+        p = tree.parent[u]
+        if p is not None:
+            adj[u].append(p)
+    return adj
+
+
+def bfs_distance_sum(adj: list, src: int, n: int) -> int:
+    """Sum of distances from src to every vertex, by level-order frontier:
+    one search at a time, with its own bytearray visited set.  The
+    reference the oracle's multi-source sweeps are checked against."""
+    seen = bytearray(n)
+    seen[src] = 1
+    frontier = [src]
+    total = 0
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    nxt.append(w)
+        total += depth * len(nxt)
+        frontier = nxt
+    return total
 
 
 def shape(tree: RootedTree) -> list:

@@ -223,6 +223,20 @@ def test_generate_budget_error_past_digit_limit_exits_2(tmp_path, capsys,
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("family", cli.FAMILY_CHOICES)
+def test_generate_order_past_cap_exits_2_at_once(tmp_path, capsys, family):
+    # The node count alone, F(10^9 + 2) or 2^(10^9), took seconds and memory.
+    out_file = tmp_path / "x.tree"
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["generate", "--family", family, "--order",
+                                    str(10**9), "--out", str(out_file)])
+    assert time.perf_counter() - t0 < 1.0
+    assert (rc, out) == (2, "")
+    assert err == ("error: order 1000000000 exceeds the cap of "
+                   f"{cli.MAX_LINEAR_ORDER} on the order of a generated tree\n")
+    assert not out_file.exists()
+
+
 def test_compute_linear_on_path(tmp_path, capsys):
     f = tmp_path / "path3.tree"
     f.write_text("3\n0 1\n1 2\n")

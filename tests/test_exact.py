@@ -1,7 +1,7 @@
 import pytest
 
 from treewiener.errors import NotDivisibleError
-from treewiener.exact import exact_div, fib, fib_table, pow2
+from treewiener.exact import exact_div, fib, fib_pair, fib_table, pow2
 
 
 def naive_fib_sequence(n):
@@ -20,6 +20,14 @@ def test_fib_matches_naive_iteration_up_to_1000():
     seq = naive_fib_sequence(1000)
     for n in range(1001):
         assert fib(n) == seq[n], f"fast doubling diverges at n={n}"
+
+
+def test_fib_pair_matches_naive_iteration_up_to_1000():
+    seq = naive_fib_sequence(1001)
+    for n in range(1001):
+        assert fib_pair(n) == (seq[n], seq[n + 1]), f"n={n}"
+    with pytest.raises(ValueError, match="fib_pair expects n >= 0, got -1"):
+        fib_pair(-1)
 
 
 def test_fib_table_matches_fib():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from treewiener.errors import EmptyTreeError, UnknownNodeError
-from treewiener.oracle import distance_sum, wiener_bfs, wiener_linear
+from treewiener.oracle import SOURCES_PER_SWEEP, distance_sum, wiener_bfs, wiener_linear
 from treewiener.trees import (
     RootedTree,
     binary_fibonacci_tree,
@@ -11,13 +11,42 @@ from treewiener.trees import (
     fibonacci_tree,
 )
 
-from helpers import path_tree, random_tree, star_tree
+from helpers import (
+    adjacency,
+    bfs_distance_sum,
+    path_tree,
+    random_tree,
+    relabel,
+    star_tree,
+)
 
 
 def test_wiener_bfs_anchors():
     assert wiener_bfs(RootedTree.single()) == 0
     assert wiener_bfs(path_tree(3)) == 4  # pair distances 1 + 1 + 2
     assert wiener_bfs(binomial_tree(2)) == 10  # all 6 pair distances by hand
+
+
+# With 256 searches per sweep: 1, 2, 255, 256, 257 and 513 vertices, so one
+# sweep short of full, full and one past, and a third sweep of one search.
+SWEEP_SIZES = [1, 2, SOURCES_PER_SWEEP - 1, SOURCES_PER_SWEEP,
+               SOURCES_PER_SWEEP + 1, 2 * SOURCES_PER_SWEEP + 1]
+SHAPES = {"random": random_tree,
+          "path": lambda rng, n: path_tree(n),
+          "star": lambda rng, n: star_tree(n)}
+
+
+@pytest.mark.parametrize("n", SWEEP_SIZES)
+@pytest.mark.parametrize("kind", list(SHAPES))
+def test_sweeps_match_one_search_at_a_time(kind, n):
+    rng = random.Random(n)
+    tree = SHAPES[kind](rng, n)
+    # Relabelled, the root and the sweeps' sources leave preorder.
+    for t in (tree, relabel(rng, tree)):
+        adj = adjacency(t)
+        sums = [bfs_distance_sum(adj, v, n) for v in range(n)]
+        assert [distance_sum(t, v) for v in range(n)] == sums
+        assert wiener_bfs(t) * 2 == sum(sums)
 
 
 def test_wiener_linear_anchors():
