@@ -18,7 +18,6 @@ numbers to stderr (text mode) or into a dedicated "seconds" field (JSON).
 """
 
 import argparse
-import json
 import sys
 import time
 
@@ -55,6 +54,14 @@ MAX_RESULT_BITS = 1 << 23
 # whose node count (2^k or a Fibonacci number near phi^k) is computed before
 # the node budget can refuse it.
 MAX_LINEAR_ORDER = 50_000
+# MAX_BFS_NODES caps the tree the quadratic oracle searches, in compute
+# --algo bfs, verify and bench (which also keeps its --bfs-budget), and is
+# bench's default --bfs-budget.  Its n searches visit n^2 source-vertex
+# pairs: the 2584-node Fibonacci tree takes about 0.1 s, the 8192-node
+# binomial tree 1.3 s and a 10,000-node random tree 5 s, so a 317,811-node
+# tree would take upward of 20 minutes.  verify still runs the linear
+# oracle on a tree past the cap and within --node-budget.
+MAX_BFS_NODES = 10_000
 
 
 def _check_linear_order(k: int, what: str,
@@ -65,9 +72,10 @@ def _check_linear_order(k: int, what: str,
 
 
 def _verify_order(family: TreeFamily, k: int, node_budget: int) -> dict:
-    """Compare every evaluation route for one order; oracles only run while
-    the materialized tree fits the node budget.  The row's status is match,
-    mismatch, or skipped (the oracles did not run)."""
+    """Compare every evaluation route for one order; the oracles only run
+    while the materialized tree fits the node budget, and the quadratic one
+    only up to MAX_BFS_NODES.  The row's status is match, mismatch, or
+    skipped (the quadratic oracle did not run)."""
     formula = family.spec.closed(k)
     recurrence = family.spec.recurrence(k)
     replay = compose.replay_family(family, k).w
@@ -76,8 +84,9 @@ def _verify_order(family: TreeFamily, k: int, node_budget: int) -> dict:
     oracle_value = None
     if n <= node_budget:
         tree = generate(family, k, max_nodes=node_budget)
-        oracle_value = oracle.wiener_bfs(tree)
-        values.append(oracle_value)
+        if n <= MAX_BFS_NODES:
+            oracle_value = oracle.wiener_bfs(tree)
+            values.append(oracle_value)
         values.append(oracle.wiener_linear(tree))
     if any(v != values[0] for v in values[1:]):
         status = "mismatch"
@@ -130,6 +139,9 @@ def _print_rows(as_json: bool, head: dict, columns: dict, entries: list,
     cell is rendered before anything is printed.
     """
     if as_json:
+        # Imported where used: only the two --json branches need json, and
+        # importing it costs 2-3 ms of a command's ~12 ms start-up.
+        import json
         rows = [{key: _decimal(v) if isinstance(v, int) and key != "order" else v
                  for key, v in e.items()} for e in entries]
         print(json.dumps({**head, "entries": rows, **tail}))
@@ -169,6 +181,7 @@ def cmd_closed_form(args) -> int:
             value = compose.replay_family(family, k).w
     value = _decimal(value)
     if args.json:
+        import json
         print(json.dumps({"family": family.value, "order": k,
                           "method": args.method, "value": value}))
     else:
@@ -190,6 +203,10 @@ def cmd_compute(args) -> int:
     # with its line number.
     with open(args.input, "r", encoding="ascii", errors="surrogateescape") as fh:
         tree = parse(fh.read())
+    if args.algo == "bfs" and tree.n > MAX_BFS_NODES:
+        raise TreeWienerError(
+            f"tree of {tree.n} nodes exceeds the cap of {MAX_BFS_NODES} nodes "
+            "on the quadratic oracle (--algo bfs)")
     algo = oracle.wiener_bfs if args.algo == "bfs" else oracle.wiener_linear
     print(_decimal(algo(tree)))
     return 0
@@ -227,7 +244,7 @@ def cmd_bench(args) -> int:
         if n <= args.node_budget:
             tree = generate(family, k, max_nodes=args.node_budget)
             _, t_linear = _timed(oracle.wiener_linear, tree)
-            if n <= args.bfs_budget:
+            if n <= min(args.bfs_budget, MAX_BFS_NODES):
                 _, t_bfs = _timed(oracle.wiener_bfs, tree)
         entries.append({
             "order": k, "nodes": n, "value": value,
@@ -293,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=FAMILY_CHOICES)
     p.add_argument("--max-order", required=True, type=int)
     p.add_argument("--node-budget", type=int, default=10**6)
-    p.add_argument("--bfs-budget", type=int, default=10**4)
+    p.add_argument("--bfs-budget", type=int, default=MAX_BFS_NODES)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bench)
 

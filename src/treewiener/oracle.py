@@ -21,13 +21,15 @@ from typing import Sequence
 from treewiener.errors import EmptyTreeError, UnknownNodeError
 from treewiener.trees import RootedTree
 
-# Searches carried by one sweep, one bit each.  A sweep holds an int of up
-# to this many bits per vertex, so memory, not time, sets the width.  On the
-# 2584-node Fibonacci tree, wiener_bfs's tracemalloc peak and time (best of
-# 3) read 0.35 MB and 0.17 s at 128, 0.45 MB and 0.10 s at 256, 0.65 MB and
-# 0.10 s at 512, and 1.01 MB and 0.07 s at 1024; one search at a time over
-# an adjacency-list copy (the tests' reference) takes 0.28 MB and 1.4 s.
-SOURCES_PER_SWEEP = 256
+# Searches carried by one sweep, one bit each.  A wider sweep shares each
+# step among more searches and runs fewer sweeps, but holds an int of up to
+# this many bits per vertex, so memory sets the width.  Over every tree the
+# benchmark's verify-sweep checks (binomial orders 0-11, Fibonacci -1 to 16,
+# binary Fibonacci 1-16), wiener_bfs takes 0.54-0.99 s at 256, 0.38-0.62 s
+# at 512 and 0.32-0.41 s at 1024 (fresh interpreter, 5 alternating rounds),
+# with a tracemalloc peak of 0.45, 0.65 and 1.01 MB, set by the 2584-node
+# Fibonacci tree; tests/test_oracle.py holds that peak under 0.8 MB.
+SOURCES_PER_SWEEP = 512
 
 
 def _distance_total(tree: RootedTree, sources: Sequence[int]) -> int:
@@ -50,10 +52,11 @@ def _distance_total(tree: RootedTree, sources: Sequence[int]) -> int:
     A level costs one step per edge at an active vertex, shared by every
     search of the sweep that reached that vertex at that depth.  On the
     three families, whose diameter is O(log n), the searches of a sweep
-    meet each vertex at a few common depths, so most steps are shared.  On
-    a long path no two searches of a sweep reach a vertex at the same
-    depth: nothing is shared, and the bookkeeping of a level makes the
-    whole slower than one search at a time (see wiener_bfs).
+    meet each vertex at a few common depths, so most steps are shared and
+    a wider sweep saves steps.  On a long path at most two searches of a
+    sweep reach a vertex at the same depth: little is shared, the width
+    barely matters, and the bookkeeping of a level makes the whole slower
+    than one search at a time (see wiener_bfs).
     """
     n = tree.n
     children, parent = tree.children, tree.parent
@@ -114,12 +117,15 @@ def wiener_bfs(tree: RootedTree) -> int:
 
     The n searches run in sweeps of SOURCES_PER_SWEEP (see _distance_total),
     n^2 source-vertex pairs in all.  Measured on a 2-vCPU Xeon with Python
-    3.11.7, one search at a time over an adjacency-list copy (the tests'
-    reference) against the sweeps: the order-16 Fibonacci tree (2584
-    vertices) 1.39-1.45 s against 0.14-0.16 s, a 3000-vertex star 1.61-1.78
-    s against 0.02-0.05 s.  The worst case is a long path, where the
-    searches of a sweep share no step: 1000 vertices 0.36-0.40 s against
-    0.61-0.68 s, 3000 vertices 3.3 s against 5.6 s.
+    3.11.7, fresh interpreter, 5 alternating rounds, at 256 / 512 / 1024
+    searches per sweep: the order-16 Fibonacci tree (2584 vertices)
+    0.10-0.17 / 0.07-0.10 / 0.05-0.07 s; a 1000-vertex path 0.41-0.68 /
+    0.42-0.75 / 0.53-0.66 s with a tracemalloc peak of 0.10 / 0.16 / 0.28
+    MB; a 3000-vertex path 3.9-6.5 / 4.7-6.8 / 6.2-7.0 s.  The path is the
+    worst case, where the searches of a sweep share almost no step.  One
+    search at a time over an adjacency-list copy (the tests' reference)
+    takes 1.4 s on the Fibonacci tree, 0.36-0.40 s on the 1000-vertex path
+    and 3.3 s on the 3000-vertex one.
     """
     if tree.n == 0:
         raise EmptyTreeError("wiener_bfs needs at least one node")

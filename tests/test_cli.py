@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from treewiener import cli, compose, formulas
+from treewiener import cli, compose, formulas, oracle
 from treewiener.errors import NotDivisibleError
 
 # The interpreter's integer-to-string digit limit (0 = none, or Python < 3.11).
@@ -253,6 +253,31 @@ def test_compute_bfs_on_generated_tree(tmp_path, capsys):
     assert rc == 0 and out == "10\n"
 
 
+def test_compute_bfs_past_node_cap_exits_2_before_any_search(tmp_path, capsys,
+                                                          monkeypatch):
+    def path_file(n):
+        f = tmp_path / f"path{n}.tree"
+        f.write_text(f"{n}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1)))
+        return str(f)
+
+    def no_search(tree):
+        raise AssertionError("wiener_bfs ran")
+
+    monkeypatch.setattr(oracle, "wiener_bfs", no_search)
+    n = cli.MAX_BFS_NODES + 1
+    over = path_file(n)
+    rc, out, err = run_cli(capsys, ["compute", "--in", over, "--algo", "bfs"])
+    assert (rc, out) == (2, "")
+    assert err == (f"error: tree of {n} nodes exceeds the cap of "
+                   f"{cli.MAX_BFS_NODES} nodes on the quadratic oracle (--algo bfs)\n")
+    assert run_cli(capsys, ["compute", "--in", over, "--algo", "linear"]) == (
+        0, f"{(n ** 3 - n) // 6}\n", "")
+    monkeypatch.setattr(oracle, "wiener_bfs", lambda tree: tree.n)
+    at_cap = path_file(cli.MAX_BFS_NODES)
+    assert run_cli(capsys, ["compute", "--in", at_cap, "--algo", "bfs"]) == (
+        0, f"{cli.MAX_BFS_NODES}\n", "")
+
+
 def test_compute_malformed_file_exits_2(tmp_path, capsys):
     f = tmp_path / "bad.tree"
     f.write_text("3\n0 1\n1 2\n2 0\n")
@@ -302,6 +327,37 @@ def test_verify_marks_oracle_skips_beyond_budget(capsys):
     assert rows["11"][4] == "-" and rows["11"][5] == "skipped"
     assert rows["12"][5] == "skipped"
     assert rows["10"][5] == "match"
+
+
+def test_quadratic_oracle_skipped_past_node_cap(capsys, monkeypatch):
+    # Binomial orders 4, 5 and 6 have 16, 32 and 64 nodes; with the cap at 20
+    # the quadratic oracle runs at order 4 only, though all fit --node-budget.
+    monkeypatch.setattr(cli, "MAX_BFS_NODES", 20)
+    searched = []
+    bfs = oracle.wiener_bfs
+    monkeypatch.setattr(oracle, "wiener_bfs",
+                        lambda tree: searched.append(tree.n) or bfs(tree))
+    argv = ["--family", "binomial", "--max-order", "6", "--node-budget", "100"]
+
+    def rows(out):
+        return {line.split()[0]: line.split()[-2:] for line in out.splitlines()[1:]
+                if line and line[0].isdigit()}
+
+    rc, out, _ = run_cli(capsys, ["verify"] + argv)
+    assert rc == 0 and max(searched) == 16
+    assert rows(out)["4"][1] == "match"
+    assert rows(out)["5"] == rows(out)["6"] == ["-", "skipped"]
+    # Past the cap the linear oracle is still compared.
+    linear = oracle.wiener_linear
+    monkeypatch.setattr(oracle, "wiener_linear",
+                        lambda tree: linear(tree) + (tree.n == 64))
+    rc, out, _ = run_cli(capsys, ["verify"] + argv)
+    assert rc == 1 and rows(out)["6"] == ["-", "mismatch"]
+    searched.clear()
+    rc, out, _ = run_cli(capsys, ["bench", "--bfs-budget", "1000"] + argv)
+    assert rc == 0 and max(searched) == 16
+    assert [line.split()[-1] for line in out.splitlines()[1:]] == (
+        ["ran"] * 5 + ["skipped"] * 2)
 
 
 def test_verify_binary_fibonacci_notes_literal_divergence(capsys):
@@ -396,12 +452,13 @@ def test_stdout_byte_identical_across_runs(capsys):
 
 def test_import_loads_no_process_pool():
     # Every command starts by importing the CLI; it needs no worker pool,
-    # and no dataclass machinery (dataclasses pulls in inspect).
+    # no dataclass machinery (dataclasses pulls in inspect), and no json,
+    # which only the --json branches import.
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
     code = (f"import sys; sys.path.insert(0, {src!r}); import treewiener.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('concurrent', 'multiprocessing', "
-            "'dataclasses', 'inspect')))")
+            "'dataclasses', 'inspect', 'json')))")
     proc = subprocess.run([sys.executable, "-I", "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -27,9 +28,10 @@ def test_wiener_bfs_anchors():
     assert wiener_bfs(binomial_tree(2)) == 10  # all 6 pair distances by hand
 
 
-# With 256 searches per sweep: 1, 2, 255, 256, 257 and 513 vertices, so one
-# sweep short of full, full and one past, and a third sweep of one search.
-SWEEP_SIZES = [1, 2, SOURCES_PER_SWEEP - 1, SOURCES_PER_SWEEP,
+# With 512 searches per sweep: 1, 2, 255, 256 and 257 vertices, one sweep
+# about half full; 511, 512 and 513, one sweep short of full, full and one
+# past; and 1025, a third sweep of one search.
+SWEEP_SIZES = [1, 2, 255, 256, 257, SOURCES_PER_SWEEP - 1, SOURCES_PER_SWEEP,
                SOURCES_PER_SWEEP + 1, 2 * SOURCES_PER_SWEEP + 1]
 SHAPES = {"random": random_tree,
           "path": lambda rng, n: path_tree(n),
@@ -47,6 +49,19 @@ def test_sweeps_match_one_search_at_a_time(kind, n):
         sums = [bfs_distance_sum(adj, v, n) for v in range(n)]
         assert [distance_sum(t, v) for v in range(n)] == sums
         assert wiener_bfs(t) * 2 == sum(sums)
+
+
+def test_sweep_memory_stays_small():
+    # A sweep keeps an int of up to SOURCES_PER_SWEEP bits per vertex, so
+    # the width sets the oracle's memory: 0.65 MB here at 512, 1.01 MB at 1024.
+    tree = fibonacci_tree(16)  # 2584 vertices
+    tracemalloc.start()
+    try:
+        wiener_bfs(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 800_000
 
 
 def test_wiener_linear_anchors():
