@@ -57,10 +57,9 @@ MAX_LINEAR_ORDER = 50_000
 # MAX_BFS_NODES caps the tree the quadratic oracle searches, in compute
 # --algo bfs, verify and bench (which also keeps its --bfs-budget), and is
 # bench's default --bfs-budget.  Its n searches visit n^2 source-vertex
-# pairs: the 2584-node Fibonacci tree takes about 0.1 s, the 8192-node
-# binomial tree 1.3 s and a 10,000-node random tree 5 s, so a 317,811-node
-# tree would take upward of 20 minutes.  verify still runs the linear
-# oracle on a tree past the cap and within --node-budget.
+# pairs, so its time grows with the square of the tree (seconds near the
+# cap; timings in CHANGES.md and BENCH_10.json).  verify still runs the
+# linear oracle on a tree past the cap and within --node-budget.
 MAX_BFS_NODES = 10_000
 
 
@@ -71,46 +70,37 @@ def _check_linear_order(k: int, what: str,
             f"{what} {k} exceeds the cap of {MAX_LINEAR_ORDER} on the order of {capped}")
 
 
-def _verify_order(family: TreeFamily, k: int, node_budget: int) -> dict:
-    """Compare every evaluation route for one order; the oracles only run
-    while the materialized tree fits the node budget, and the quadratic one
-    only up to MAX_BFS_NODES.  The row's status is match, mismatch, or
-    skipped (the quadratic oracle did not run)."""
-    formula = family.spec.closed(k)
-    recurrence = family.spec.recurrence(k)
-    replay = compose.replay_family(family, k).w
-    n = node_count(family, k)
-    values = [formula, recurrence, replay]
-    oracle_value = None
-    if n <= node_budget:
-        tree = generate(family, k, max_nodes=node_budget)
-        if n <= MAX_BFS_NODES:
-            oracle_value = oracle.wiener_bfs(tree)
-            values.append(oracle_value)
-        values.append(oracle.wiener_linear(tree))
-    if any(v != values[0] for v in values[1:]):
-        status = "mismatch"
-    elif oracle_value is None:
-        status = "skipped"
-    else:
-        status = "match"
-    return {"order": k, "nodes": n, "formula_value": formula,
-            "replay_value": replay, "oracle_value": oracle_value,
-            "status": status}
+# The evaluation routes, each (family, k) -> W: the --method choices of
+# closed-form, and the routes a verify sweep plays against each other.  They
+# look the evaluators up at call time, so replacing a module attribute
+# reaches them.
+ROUTES = {
+    "closed": lambda family, k: family.spec.closed(k),
+    "recurrence": lambda family, k: family.spec.recurrence(k),
+    "replay": lambda family, k: compose.replay_family(family, k).w,
+}
 
 
-def _orders(family: TreeFamily, max_order: int) -> range:
-    """Orders a verify or bench sweep covers: every order with a Wiener index."""
+def _sweep(family: TreeFamily, max_order: int, node_budget: int,
+           bfs_budget: int = MAX_BFS_NODES):
+    """The sweep behind verify and bench: for every order with a Wiener
+    index up to max_order, yield (k, n, {route: (W, seconds)}) for every
+    route that ran.  Every ROUTES entry runs; the oracles "linear" and
+    "bfs" run only while the materialized tree fits node_budget, and the
+    quadratic one only up to min(bfs_budget, MAX_BFS_NODES) nodes."""
     start = family.spec.min_summary_order
     if max_order < start:
         raise InvalidOrderError(f"--max-order must be >= {start} for {family.value}")
     _check_linear_order(max_order, "--max-order")
-    return range(start, max_order + 1)
-
-
-def run_verify(family: TreeFamily, max_order: int, node_budget: int) -> list:
-    """One _verify_order row per order of the sweep, in order."""
-    return [_verify_order(family, k, node_budget) for k in _orders(family, max_order)]
+    for k in range(start, max_order + 1):
+        n = node_count(family, k)
+        ran = {name: _timed(route, family, k) for name, route in ROUTES.items()}
+        if n <= node_budget:
+            tree = generate(family, k, max_nodes=node_budget)
+            ran["linear"] = _timed(oracle.wiener_linear, tree)
+            if n <= min(bfs_budget, MAX_BFS_NODES):
+                ran["bfs"] = _timed(oracle.wiener_bfs, tree)
+        yield k, n, ran
 
 
 def _decimal(value) -> str:
@@ -140,7 +130,7 @@ def _print_rows(as_json: bool, head: dict, columns: dict, entries: list,
     """
     if as_json:
         # Imported where used: only the two --json branches need json, and
-        # importing it costs 2-3 ms of a command's ~12 ms start-up.
+        # importing it is a measurable share of a command's start-up.
         import json
         rows = [{key: _decimal(v) if isinstance(v, int) and key != "order" else v
                  for key, v in e.items()} for e in entries]
@@ -172,14 +162,9 @@ def cmd_closed_form(args) -> int:
             raise TreeWienerError(
                 f"order {k} exceeds the cap on the closed form's result: W may "
                 f"need {bits} bits, more than {MAX_RESULT_BITS}")
-        value = family.spec.closed(k)
     else:
         _check_linear_order(k, "order")
-        if args.method == "recurrence":
-            value = family.spec.recurrence(k)
-        else:
-            value = compose.replay_family(family, k).w
-    value = _decimal(value)
+    value = _decimal(ROUTES[args.method](family, k))
     if args.json:
         import json
         print(json.dumps({"family": family.value, "order": k,
@@ -214,9 +199,16 @@ def cmd_compute(args) -> int:
 
 def cmd_verify(args) -> int:
     family = TreeFamily(args.family)
-    entries = run_verify(family, args.max_order, args.node_budget)
+    entries = []
+    for k, n, ran in _sweep(family, args.max_order, args.node_budget):
+        bfs = ran["bfs"][0] if "bfs" in ran else None
+        status = ("mismatch" if len({w for w, _ in ran.values()}) > 1
+                  else "skipped" if bfs is None else "match")
+        entries.append({"order": k, "nodes": n, "formula_value": ran["closed"][0],
+                        "replay_value": ran["replay"][0], "oracle_value": bfs,
+                        "status": status})
     all_match = all(e["status"] != "mismatch" for e in entries)
-    note = family.spec.verify_note()
+    note = family.spec.verify_note
     head = {"family": family.value, "max_order": args.max_order,
             "node_budget": args.node_budget}
     tail = {"all_match": all_match}
@@ -236,22 +228,16 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     family = TreeFamily(args.family)
     entries = []
-    for k in _orders(family, args.max_order):
-        n = node_count(family, k)
-        value, t_closed = _timed(family.spec.closed, k)
-        _, t_replay = _timed(compose.replay_family, family, k)
-        t_linear = t_bfs = None
-        if n <= args.node_budget:
-            tree = generate(family, k, max_nodes=args.node_budget)
-            _, t_linear = _timed(oracle.wiener_linear, tree)
-            if n <= min(args.bfs_budget, MAX_BFS_NODES):
-                _, t_bfs = _timed(oracle.wiener_bfs, tree)
+    for k, n, ran in _sweep(family, args.max_order, args.node_budget, args.bfs_budget):
+        # The recurrence runs too, for verify; its time is not reported.
+        seconds = {key: ran[route][1] if route in ran else None for key, route in
+                   (("closed_form", "closed"), ("replay", "replay"),
+                    ("linear", "linear"), ("bfs", "bfs"))}
         entries.append({
-            "order": k, "nodes": n, "value": value,
-            "linear": "ran" if t_linear is not None else "skipped",
-            "bfs": "ran" if t_bfs is not None else "skipped",
-            "seconds": {"closed_form": t_closed, "replay": t_replay,
-                        "linear": t_linear, "bfs": t_bfs},
+            "order": k, "nodes": n, "value": ran["closed"][0],
+            "linear": "ran" if "linear" in ran else "skipped",
+            "bfs": "ran" if "bfs" in ran else "skipped",
+            "seconds": seconds,
         })
     head = {"family": family.value, "max_order": args.max_order}
     columns = {"order": "order", "nodes": "nodes", "value": "wiener",
@@ -282,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closed-form", help="evaluate W(family, order)")
     p.add_argument("--family", required=True, choices=FAMILY_CHOICES)
     p.add_argument("--order", required=True, type=int)
-    p.add_argument("--method", choices=["closed", "recurrence", "replay"],
-                   default="closed")
+    p.add_argument("--method", choices=list(ROUTES), default="closed")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_closed_form)
 

@@ -23,12 +23,10 @@ from treewiener.trees import RootedTree
 
 # Searches carried by one sweep, one bit each.  A wider sweep shares each
 # step among more searches and runs fewer sweeps, but holds an int of up to
-# this many bits per vertex, so memory sets the width.  Over every tree the
-# benchmark's verify-sweep checks (binomial orders 0-11, Fibonacci -1 to 16,
-# binary Fibonacci 1-16), wiener_bfs takes 0.54-0.99 s at 256, 0.38-0.62 s
-# at 512 and 0.32-0.41 s at 1024 (fresh interpreter, 5 alternating rounds),
-# with a tracemalloc peak of 0.45, 0.65 and 1.01 MB, set by the 2584-node
-# Fibonacci tree; tests/test_oracle.py holds that peak under 0.8 MB.
+# this many bits per vertex, so memory sets the width: tests/test_oracle.py
+# holds the peak on the 2584-node Fibonacci tree under 0.8 MB, which the
+# next width, 1024, exceeds.  Times and peaks per width are in CHANGES.md
+# (the entry on wider BFS sweeps) and BENCH_10.json.
 SOURCES_PER_SWEEP = 512
 
 
@@ -116,16 +114,10 @@ def wiener_bfs(tree: RootedTree) -> int:
     oracle): half the sum of every source's distance sum.
 
     The n searches run in sweeps of SOURCES_PER_SWEEP (see _distance_total),
-    n^2 source-vertex pairs in all.  Measured on a 2-vCPU Xeon with Python
-    3.11.7, fresh interpreter, 5 alternating rounds, at 256 / 512 / 1024
-    searches per sweep: the order-16 Fibonacci tree (2584 vertices)
-    0.10-0.17 / 0.07-0.10 / 0.05-0.07 s; a 1000-vertex path 0.41-0.68 /
-    0.42-0.75 / 0.53-0.66 s with a tracemalloc peak of 0.10 / 0.16 / 0.28
-    MB; a 3000-vertex path 3.9-6.5 / 4.7-6.8 / 6.2-7.0 s.  The path is the
-    worst case, where the searches of a sweep share almost no step.  One
-    search at a time over an adjacency-list copy (the tests' reference)
-    takes 1.4 s on the Fibonacci tree, 0.36-0.40 s on the 1000-vertex path
-    and 3.3 s on the 3000-vertex one.
+    n^2 source-vertex pairs in all.  A long path is the worst case: the
+    searches of a sweep share almost no step there, and it runs slower than
+    one search at a time (the tests' reference).  Measurements are in
+    CHANGES.md and BENCH_10.json.
     """
     if tree.n == 0:
         raise EmptyTreeError("wiener_bfs needs at least one node")

@@ -191,18 +191,6 @@ def binary_fibonacci_tree(k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> Roote
     return _expand(k, lambda j: tuple(o for o in (j - 1, j - 2) if o >= 1))
 
 
-def _literal_note() -> str:
-    """The binary Fibonacci note of verify: the paper's printed recurrence
-    disagrees with enumeration, and the corrected one is used instead."""
-    literal = formulas.wiener_binfib_literal(3)
-    corrected = formulas.wiener_binfib(3)
-    return (
-        f"note: the literal printed recurrence gives {literal} at order 3 "
-        f"where direct enumeration gives {corrected}; the corrected form is "
-        "used throughout and this divergence is documented, not a failure"
-    )
-
-
 def _join(a: compose.TreeSummary, b) -> compose.TreeSummary:
     """compose.join(a, b), where b = None, the empty tree, leaves a as it is."""
     return a if b is None else compose.join(a, b)
@@ -218,10 +206,9 @@ class FamilySpec(NamedTuple):
     the construction rule on (n, W, D) summaries: from the summaries of
     orders i-2 and i-1 (None for the empty tree below min_summary_order) it
     builds the summary of order i, which compose.replay_family iterates.
-    verify_note() is a line verify adds after its sweep, or None.  The
-    evaluators, the rules and the note look formulas.wiener_* and
-    compose.join up at call time, so replacing a module attribute reaches
-    every caller.
+    verify_note is a line verify adds after its sweep, or None.  The
+    evaluators and the rules look formulas.wiener_* and compose.join up at
+    call time, so replacing a module attribute reaches every caller.
     """
 
     min_order: int
@@ -232,7 +219,7 @@ class FamilySpec(NamedTuple):
     recurrence: Callable[[int], int]
     grow: Callable[[compose.TreeSummary | None, compose.TreeSummary],
                    compose.TreeSummary]
-    verify_note: Callable[[], str | None] = lambda: None
+    verify_note: str | None = None
 
 
 # closed evaluates W in O(log k) big-integer multiplications, recurrence in
@@ -265,7 +252,12 @@ _SPECS = {
         closed=lambda k: formulas.wiener_binfib_closed(k),
         recurrence=lambda k: formulas.wiener_binfib(k),
         grow=lambda prev, cur: _join(compose.join(compose.SINGLE, cur), prev),
-        verify_note=_literal_note,
+        # A fixed sentence; the tests check its two numbers against the
+        # literal and corrected recurrences at order 3.
+        verify_note=(
+            "note: the literal printed recurrence gives 5 at order 3 where "
+            "direct enumeration gives 10; the corrected form is used "
+            "throughout and this divergence is documented, not a failure"),
     ),
 }
 

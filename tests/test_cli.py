@@ -9,6 +9,7 @@ import pytest
 
 from treewiener import cli, compose, formulas, oracle
 from treewiener.errors import NotDivisibleError
+from treewiener.trees import TreeFamily
 
 # The interpreter's integer-to-string digit limit (0 = none, or Python < 3.11).
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -368,6 +369,13 @@ def test_verify_binary_fibonacci_notes_literal_divergence(capsys):
     assert "not a failure" in out
 
 
+def test_verify_note_quotes_the_recurrences():
+    # The note is a fixed sentence; its two numbers are the recurrences' values.
+    note = TreeFamily.BINARY_FIBONACCI.spec.verify_note
+    assert (f"gives {formulas.wiener_binfib_literal(3)} at order 3 where direct "
+            f"enumeration gives {formulas.wiener_binfib(3)};") in note
+
+
 def test_verify_json_roundtrips(capsys):
     rc, out, _ = run_cli(capsys, ["verify", "--family", "fibonacci",
                                   "--max-order", "30", "--node-budget", "500",
@@ -383,12 +391,38 @@ def test_verify_json_roundtrips(capsys):
             assert entry["status"] == "skipped"
 
 
-def test_verify_detects_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(formulas, "wiener_binomial", lambda k: 999)
+def _off_by_one_at_order_3(module, name):
+    """Replace module.name by a copy whose W is one too high on the order-3
+    binomial tree (8 nodes) and right everywhere else."""
+    right = getattr(module, name)
+    if module is formulas:
+        return lambda k: right(k) + (k == 3)
+    if module is compose:
+        # The join that builds the 8-node tree is the last one of the order-3
+        # replay, the top order of the sweep, so only that row is off.
+        def join(a, b):
+            s = right(a, b)
+            return s._replace(w=s.w + (s.n == 8))
+        return join
+    return lambda tree: right(tree) + (tree.n == 8)
+
+
+@pytest.mark.parametrize("module,name", [
+    (formulas, "wiener_binomial"),
+    (formulas, "wiener_binomial_recurrence"),
+    (compose, "join"),
+    (oracle, "wiener_linear"),
+    (oracle, "wiener_bfs"),
+], ids=["closed", "recurrence", "replay", "linear", "bfs"])
+def test_verify_detects_mismatch(capsys, monkeypatch, module, name):
+    # Each route alone, wrong at one order, turns that row into a mismatch.
+    monkeypatch.setattr(module, name, _off_by_one_at_order_3(module, name))
     rc, out, _ = run_cli(capsys, ["verify", "--family", "binomial",
                                   "--max-order", "3", "--node-budget", "100"])
     assert rc == 1
-    assert "MISMATCH" in out
+    statuses = [line.split()[-1] for line in out.splitlines()[1:-1]]
+    assert statuses == ["match"] * 3 + ["mismatch"]
+    assert out.endswith("result: MISMATCH\n")
 
 
 def test_verify_bad_max_order(capsys):
@@ -424,6 +458,29 @@ def test_bench_json_times_in_dedicated_field(capsys):
         assert set(entry["seconds"]) == {"closed_form", "replay", "linear", "bfs"}
     values = [int(e["value"]) for e in payload["entries"]]
     assert values == [formulas.wiener_binomial(k) for k in range(7)]
+
+
+def test_bench_and_verify_gate_the_oracles_alike(capsys, monkeypatch):
+    # Binomial orders 0-6 have 1-64 nodes: both oracles run at orders 0-3,
+    # only the linear one at 4 and 5, and neither at 6.
+    monkeypatch.setattr(cli, "MAX_BFS_NODES", 10)
+    argv = ["--family", "binomial", "--max-order", "6", "--node-budget", "40"]
+
+    def table(out):
+        return [line.split() for line in out.splitlines()[1:] if line[:1].isdigit()]
+
+    rc, out, _ = run_cli(capsys, ["verify"] + argv)
+    assert rc == 0
+    verify = table(out)
+    rc, out, _ = run_cli(capsys, ["bench"] + argv)
+    assert rc == 0
+    bench = table(out)
+    assert [row[:2] for row in bench] == [row[:2] for row in verify]
+    assert [row[2] for row in bench] == [row[2] for row in verify]
+    assert [row[3] == "ran" for row in bench] == [int(row[1]) <= 40 for row in bench]
+    assert [row[4] == "ran" for row in bench] == [row[4] != "-" for row in verify]
+    assert [row[3:] for row in bench] == (
+        [["ran", "ran"]] * 4 + [["ran", "skipped"]] * 2 + [["skipped", "skipped"]])
 
 
 def test_bench_infeasible_tiers_marked(capsys):
