@@ -177,9 +177,11 @@ def cmd_closed_form(args) -> int:
 def cmd_generate(args) -> int:
     family = TreeFamily(args.family)
     _check_linear_order(args.order, "order", "a generated tree")
-    tree = generate(family, args.order, max_nodes=args.max_nodes)
+    text = serialize(generate(family, args.order, max_nodes=args.max_nodes))
+    # Rendered before the file is opened, so an error while rendering
+    # leaves no empty file, and an existing one as it was.
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(serialize(tree))
+        fh.write(text)
     return 0
 
 

@@ -9,7 +9,7 @@ Two independent routes to the Wiener index:
   per vertex (multi-source BFS: Then et al., "The More the Merrier:
   Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014), so sources
   that reach a vertex at the same depth share each step.
-* wiener_linear: one post-order pass; the edge to v's parent separates the
+* wiener_linear: one bottom-up pass; the edge to v's parent separates the
   tree into v's subtree (size s) and the rest (n - s) and contributes
   s * (n - s) shortest paths of weight 1 each.  O(n).
 
@@ -57,7 +57,11 @@ def _distance_total(tree: RootedTree, sources: Sequence[int]) -> int:
     than one search at a time (see wiener_bfs).
     """
     n = tree.n
-    children, parent = tree.children, tree.parent
+    # A list per node spares the inner loop a slice of the flat child
+    # array at every step.  The leaves share one empty tuple, and no tuple
+    # per node is made: freed small tuples stay on the interpreter's free
+    # lists, which kept about 0.4 MB past a verify sweep.
+    children, parent = tree.child_lists(()), tree.parent
     frontier = [0] * n  # both all zero between sweeps
     arriving = [0] * n
     total = 0
@@ -127,24 +131,17 @@ def wiener_bfs(tree: RootedTree) -> int:
 
 
 def wiener_linear(tree: RootedTree) -> int:
-    """Wiener index by edge contributions in one post-order pass (linear)."""
+    """Wiener index by edge contributions in one bottom-up pass (linear):
+    the ids counting down when every parent id is below its child's, as in
+    every generated tree, else a walk from the root, reversed."""
     if tree.n == 0:
         raise EmptyTreeError("wiener_linear needs at least one node")
     n = tree.n
-    # Iterative preorder; reversed, it is a valid order for size accumulation.
-    order = []
-    stack = [tree.root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(tree.children[u])
+    parent = tree.parent
     sizes = [1] * n
     total = 0
-    parent = tree.parent
-    for u in reversed(order):
-        p = parent[u]
-        if p is not None:
-            s = sizes[u]
-            sizes[p] += s
-            total += s * (n - s)
+    for u in tree.bottom_up():
+        s = sizes[u]
+        sizes[parent[u]] += s
+        total += s * (n - s)
     return total

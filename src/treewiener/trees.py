@@ -11,13 +11,18 @@ All three families are ordered trees built by a recursive composition rule:
   as left subtree and the order-(k-2) tree as right subtree; F(k+2) - 1
   nodes (order 0 is the empty tree, order 1 a single node).
 
-Generators are iterative (doubling for binomial trees, one explicit-stack
-preorder expander for both Fibonacci families), never recursive, so order is
-limited only by the node budget, not call depth.
+Generators build a parent list by concatenation, order by order (doubling
+for binomial trees), never recursively, so order is limited only by the node
+budget, not call depth; one stable sort of the ids by parent then gives the
+flat child array.
 """
 
+import re
+from collections import deque
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from itertools import count, groupby, islice
+from operator import countOf, lt
+from typing import Callable, NamedTuple
 
 from treewiener import compose, formulas
 from treewiener.errors import (
@@ -43,20 +48,27 @@ class TreeFamily(Enum):
 
 
 class RootedTree:
-    """Immutable ordered rooted tree with dense node ids 0..n-1.
+    """Immutable ordered rooted tree with dense node ids 0..n-1, kept flat.
 
-    parent[v] is the parent id, or None for the root; children[v] lists v's
-    children left to right.  The empty tree (n = 0) is representable, has no
-    root, and arises only as the order-0 binary Fibonacci tree.
+    parent[v] is the parent id, or None for the root.  kids is the one flat
+    child array of a compressed sparse row layout (Saad, Iterative Methods
+    for Sparse Linear Systems, section 3.4): every non-root node once,
+    grouped by parent in increasing parent id, each group listing its
+    parent's children left to right, which is the order of serialize's
+    edge lines.  A group ends where parent[kids[i]] changes, so no array of
+    group starts is kept, and no list per node unless children is read.
+    The empty tree (n = 0) is representable, has no root, and arises only
+    as the order-0 binary Fibonacci tree.
     """
 
-    __slots__ = ("n", "root", "parent", "children")
+    __slots__ = ("n", "root", "parent", "kids", "_children")
 
-    def __init__(self, n, root, parent, children):
+    def __init__(self, n, root, parent, kids):
         self.n = n
         self.root = root
         self.parent = parent
-        self.children = children
+        self.kids = kids
+        self._children = None
 
     @classmethod
     def empty(cls) -> "RootedTree":
@@ -64,7 +76,7 @@ class RootedTree:
 
     @classmethod
     def single(cls) -> "RootedTree":
-        return cls(1, 0, [None], [[]])
+        return cls(1, 0, [None], [])
 
     @classmethod
     def from_parents(cls, parents: list) -> "RootedTree":
@@ -73,36 +85,62 @@ class RootedTree:
         n = len(parents)
         if n == 0:
             return cls.empty()
-        roots = [v for v, p in enumerate(parents) if p is None]
-        if len(roots) != 1:
-            raise ValueError(f"expected exactly one root, found {len(roots)}")
-        children = [[] for _ in range(n)]
+        roots = parents.count(None)
+        if roots != 1:
+            raise ValueError(f"expected exactly one root, found {roots}")
         for v, p in enumerate(parents):
-            if p is None:
-                continue
-            if not 0 <= p < n:
+            if p is not None and not 0 <= p < n:
                 raise ValueError(f"parent id {p} of node {v} out of range")
-            children[p].append(v)
-        tree = cls(n, roots[0], list(parents), children)
-        if not tree._connected():
+        parent = list(parents)
+        root = parent.index(None)
+        tree = _grouped(parent, root, (v for v in range(n) if v != root))
+        if len(tree.top_down()) != n:
             raise ValueError("parent list does not describe a connected tree")
         return tree
 
-    def _connected(self) -> bool:
+    @property
+    def children(self) -> list:
+        """children[v] lists v's children left to right.  Built from the
+        flat arrays on first use and kept; read it, do not change it."""
+        if self._children is None:
+            self._children = self.child_lists()
+        return self._children
+
+    def child_lists(self, leaf=None) -> list:
+        """A fresh list of every node's children, left to right: a slice
+        of kids per parent, and for every leaf its own empty list, or
+        `leaf`, one object all leaves share, when given."""
+        kids = self.kids
+        lists = [[] for _ in range(self.n)] if leaf is None else [leaf] * self.n
+        i = 0
+        for p, group in groupby(map(self.parent.__getitem__, kids)):
+            j = i + countOf(group, p)
+            lists[p] = kids[i:j]
+            i = j
+        return lists
+
+    def top_down(self) -> list:
+        """The nodes reached from the root by child links, each after its
+        parent: all n of them exactly when the parent list is a tree."""
         if self.n == 0:
-            return True
-        seen = 1
+            return []
+        children = self.child_lists(())
+        order = []
         stack = [self.root]
-        visited = bytearray(self.n)
-        visited[self.root] = 1
         while stack:
             u = stack.pop()
-            for c in self.children[u]:
-                if not visited[c]:
-                    visited[c] = 1
-                    seen += 1
-                    stack.append(c)
-        return seen == self.n
+            order.append(u)
+            stack.extend(children[u])
+        return order
+
+    def bottom_up(self):
+        """The non-root nodes, each before its parent.  When every parent
+        id is smaller than its child's, as in every generated tree and
+        every file generate writes, that is the ids counting down, and no
+        walk is needed."""
+        if _parents_first(self.parent):
+            return range(self.n - 1, 0, -1)
+        return self.top_down()[:0:-1]
 
     def degree(self, v: int) -> int:
         return len(self.children[v]) + (0 if self.parent[v] is None else 1)
@@ -112,6 +150,18 @@ class RootedTree:
 
     def __repr__(self) -> str:
         return f"RootedTree(n={self.n}, root={self.root})"
+
+
+def _grouped(parent: list, root, order) -> RootedTree:
+    """The tree on parent, with kids grouped by parent and, within a group,
+    in the order `order` lists them (one stable sort)."""
+    return RootedTree(len(parent), root, parent, sorted(order, key=parent.__getitem__))
+
+
+def _parents_first(parent: list) -> bool:
+    """Whether node 0 is the root and every other node's parent has a
+    smaller id; then no parent chain can close a cycle."""
+    return parent[:1] == [None] and all(map(lt, islice(parent, 1, None), count(1)))
 
 
 def node_count(family: TreeFamily, k: int) -> int:
@@ -131,64 +181,58 @@ def _check_budget(family: TreeFamily, k: int, max_nodes: int) -> int:
     return n
 
 
+def _attach(parent: list, sub: list) -> list:
+    """parent and sub as one parent list: sub's ids are shifted past
+    parent's, and sub's root, its id 0, becomes a child of node 0.  An
+    empty sub adds nothing."""
+    if not sub:
+        return parent
+    off = len(parent)
+    out = parent + [0]
+    out += [p + off for p in islice(sub, 1, None)]
+    return out
+
+
 def binomial_tree(k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedTree:
     """Order-k binomial tree (2^k nodes), root id 0.
 
-    Built by doubling: each round copies the current tree and hangs the
-    copy's root as the new leftmost child of node 0, so the root ends up
-    with k children of subtree sizes 2^(k-1), ..., 2, 1 left to right.
+    Built by doubling: each round attaches a copy of the current tree as
+    the new leftmost child of node 0, so the root ends up with k children
+    of subtree sizes 2^(k-1), ..., 2, 1 left to right, and every node's
+    children run in decreasing id.
     """
     _check_budget(TreeFamily.BINOMIAL, k, max_nodes)
     parent = [None]
-    children = [[]]
     for _ in range(k):
-        off = len(parent)
-        parent.extend(0 if parent[i] is None else parent[i] + off for i in range(off))
-        children.extend([c + off for c in children[i]] for i in range(off))
-        children[0].insert(0, off)
-    return RootedTree(len(parent), 0, parent, children)
-
-
-def _expand(k: int, child_orders: Callable[[int], Sequence[int]]) -> RootedTree:
-    """Order-k tree with node ids in preorder, root id 0.
-
-    child_orders(j) lists, left to right, the orders of the children of a
-    node of order j.  It is called once per order, not once per node: the
-    lists are tabulated up front, from order -1, the lowest of any family.
-    """
-    pushed = {j: child_orders(j)[::-1] for j in range(-1, k + 1)}
-    parent = []
-    children = []
-    stack = [(k, None)]
-    while stack:
-        order, p = stack.pop()
-        node = len(parent)
-        parent.append(p)
-        children.append([])
-        if p is not None:
-            children[p].append(node)
-        for j in pushed[order]:  # pushed right-to-left, popped left-to-right
-            stack.append((j, node))
-    return RootedTree(len(parent), 0, parent, children)
+        parent = _attach(parent, parent)
+    return _grouped(parent, 0, range(len(parent) - 1, 0, -1))
 
 
 def fibonacci_tree(k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedTree:
-    """Order-k Fibonacci tree (F(k+2) nodes), root id 0.
+    """Order-k Fibonacci tree (F(k+2) nodes), root id 0, ids in preorder.
 
-    Unrolling the composition, a node of order j >= 1 has children of orders
-    -1, 0, ..., j-2 left to right; orders -1 and 0 are leaves.
+    The order-(k-2) tree's ids follow the order-(k-1) tree's, and its root
+    becomes the rightmost child of node 0.  Unrolled, a node of order
+    j >= 1 has children of orders -1, 0, ..., j-2, in increasing id.
     """
     _check_budget(TreeFamily.FIBONACCI, k, max_nodes)
-    return _expand(k, lambda j: range(-1, j - 1))
+    prev, cur = [None], [None]  # orders -1 and 0
+    for _ in range(k):
+        prev, cur = cur, _attach(cur, prev)
+    return _grouped(cur, 0, range(1, len(cur)))
 
 
 def binary_fibonacci_tree(k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedTree:
-    """Order-k binary Fibonacci tree (F(k+2) - 1 nodes); order 0 is empty."""
+    """Order-k binary Fibonacci tree (F(k+2) - 1 nodes), ids in preorder;
+    order 0 is empty.  A fresh root 0 takes the order-(k-1) tree as its
+    left child and then the order-(k-2) tree as its right one."""
     _check_budget(TreeFamily.BINARY_FIBONACCI, k, max_nodes)
     if k == 0:
         return RootedTree.empty()
-    # Subtrees of orders j-1 (left) and j-2 (right); order 0 has no node.
-    return _expand(k, lambda j: tuple(o for o in (j - 1, j - 2) if o >= 1))
+    prev, cur = [], [None]  # orders 0 and 1
+    for _ in range(k - 1):
+        prev, cur = cur, _attach(_attach([None], cur), prev)
+    return _grouped(cur, 0, range(1, len(cur)))
 
 
 def _join(a: compose.TreeSummary, b) -> compose.TreeSummary:
@@ -269,16 +313,73 @@ def generate(family: TreeFamily, k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -
 
 def serialize(tree: RootedTree) -> str:
     """Edge-list text: first line is the node count n, then n-1 lines
-    "parent child"; a node's child edges appear in child order, LF endings."""
-    lines = [str(tree.n)]
-    for u in range(tree.n):
-        for c in tree.children[u]:
-            lines.append(f"{u} {c}")
-    return "\n".join(lines) + "\n"
+    "parent child"; a node's child edges appear in child order, LF endings.
+    One format operation over the flat arrays."""
+    kids = tree.kids
+    pairs = [0] * (2 * len(kids))
+    pairs[::2] = map(tree.parent.__getitem__, kids)
+    pairs[1::2] = kids
+    return f"{tree.n}\n" + "%d %d\n" * len(kids) % tuple(pairs)
 
 
 def parse(text: str) -> RootedTree:
     """Inverse of serialize, with line-numbered rejection of bad input.
+
+    A text in serialize's exact form is read and checked in bulk.  Every
+    other text, and every text the bulk checks reject, is read line by line
+    (_parse_lines), which alone raises ParseError, so each input gets the
+    same tree or the same error whichever way it is read.
+    """
+    tree = _parse_canonical(text)
+    return _parse_lines(text) if tree is None else tree
+
+
+# serialize's exact form, [0-9]+\n(?:[0-9]+ [0-9]+\n)*, is checked as a
+# header line and then every LF followed by one edge line or by the end.
+# Matching the repeated group instead keeps backtracking state for every
+# line: some 20 MB on a 317,811-node text.
+_HEADER = r"[0-9]+\n"
+_BAD_LINE = r"\n(?![0-9]+ [0-9]+\n|\Z)"
+
+
+def _parse_canonical(text: str):
+    """The tree a text in serialize's form describes, or None for a text in
+    any other form or one that is not a tree.
+
+    The integers come from one json.loads, which rejects leading zeros and
+    integers past the digit limit (None then).  Then, in bulk: n - 1 edges,
+    counted before anything is sized by n; every id below n; one node
+    without a parent after the child ids are scattered into parent[], so
+    no child is repeated; and either every parent id below its child's, or
+    a walk from the root that reaches all n nodes, so there is no cycle.
+    """
+    if re.match(_HEADER, text) is None or re.search(_BAD_LINE, text):
+        return None
+    # Imported here: only parse needs json, and importing it at start-up
+    # would cost every other command.
+    import json
+    try:
+        nums = json.loads("[" + text[:-1].replace(" ", ",").replace("\n", ",") + "]")
+    except ValueError:
+        return None
+    n = nums[0]
+    if len(nums) != 2 * n - 1 or max(islice(nums, 1, None), default=0) >= n:
+        return None
+    parent = [None] * n
+    kids = nums[2::2]
+    deque(map(parent.__setitem__, kids, islice(nums, 1, None, 2)), 0)
+    del nums
+    if parent.count(None) != 1:
+        return None
+    tree = _grouped(parent, parent.index(None), kids)
+    if not _parents_first(parent) and len(tree.top_down()) != n:
+        return None
+    return tree
+
+
+def _parse_lines(text: str) -> RootedTree:
+    """parse, one line at a time, for any text: the reference the bulk path
+    must agree with, and the only source of ParseError.
 
     Detected first, over the whole input: a sign, an underscore, a control
     character among VT, FF and 0x1c-0x1f, or a character outside ASCII.
@@ -318,7 +419,7 @@ def parse(text: str) -> RootedTree:
         )
 
     parent = [None] * n
-    children = [[] for _ in range(n)]
+    kids = []  # in line order, grouped by parent at the end
     # Union-find over node ids for immediate cycle detection.
     uf = list(range(n))
 
@@ -358,7 +459,7 @@ def parse(text: str) -> RootedTree:
             raise ParseError(lineno, f"edge {p} {c} closes a cycle")
         uf[c] = top
         parent[c] = p
-        children[p].append(c)
+        kids.append(c)
         edges += 1
 
     if edges != n - 1:
@@ -368,5 +469,4 @@ def parse(text: str) -> RootedTree:
             + (" (disconnected or multiple roots)" if edges < n - 1 else ""),
         )
     # n-1 edges, no cycle, unique parents: exactly one root remains.
-    root = next(v for v in range(n) if parent[v] is None)
-    return RootedTree(n, root, parent, children)
+    return _grouped(parent, parent.index(None), kids)

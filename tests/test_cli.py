@@ -238,6 +238,24 @@ def test_generate_order_past_cap_exits_2_at_once(tmp_path, capsys, family):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("existing", [None, "1\n"], ids=["new", "existing"])
+def test_generate_failing_to_render_leaves_no_file(tmp_path, capsys, monkeypatch,
+                                                   existing):
+    # The text is rendered before --out is opened: no empty file is left
+    # behind, and a file already there is not truncated.
+    out_file = tmp_path / "x.tree"
+    if existing is not None:
+        out_file.write_text(existing)
+    monkeypatch.setattr(cli, "serialize", _raises(MemoryError()))
+    rc, out, err = run_cli(capsys, ["generate", "--family", "fibonacci",
+                                    "--order", "4", "--out", str(out_file)])
+    assert (rc, out, err) == (2, "", "error: out of memory\n")
+    if existing is None:
+        assert not out_file.exists()
+    else:
+        assert out_file.read_text() == existing
+
+
 def test_compute_linear_on_path(tmp_path, capsys):
     f = tmp_path / "path3.tree"
     f.write_text("3\n0 1\n1 2\n")

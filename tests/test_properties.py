@@ -6,24 +6,29 @@
 * compute on arbitrary bytes answers or rejects the input: exit 0 with one
   decimal line on stdout, or exit 2 with an error on stderr, never a
   traceback.
+* parse, which reads serialize's exact form in bulk, agrees with the
+  per-line reader on every input: the same tree for any layout of a valid
+  edge list, and the same ParseError for an invalid one.
 """
 
 import contextlib
 import io
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treewiener import cli
 from treewiener.compose import SINGLE, identify, join
+from treewiener.errors import ParseError
 from treewiener.oracle import distance_sum, wiener_linear
-from treewiener.trees import RootedTree, serialize
+from treewiener.trees import RootedTree, _parse_canonical, _parse_lines, parse, serialize
 
 
 @st.composite
-def random_trees(draw, max_n):
-    """Random rooted tree on 1..max_n nodes: node i's parent is below i."""
-    n = draw(st.integers(1, max_n))
+def random_trees(draw, max_n, min_n=1):
+    """Random rooted tree on min_n..max_n nodes: node i's parent is below i."""
+    n = draw(st.integers(min_n, max_n))
     return RootedTree.from_parents(
         [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)])
 
@@ -71,3 +76,112 @@ def test_compute_on_arbitrary_bytes_exits_0_or_2(tmp_path_factory, data):
     else:
         assert rc == 2
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+@st.composite
+def edge_lists(draw, max_n, min_n=1):
+    """(n, edges): a random tree's (parent, child) edges with its ids
+    randomly permuted, so the root leaves 0 and parents leave the lower
+    ids, in a random line order."""
+    tree = draw(random_trees(max_n, min_n))
+    perm = draw(st.permutations(range(tree.n)))
+    edges = [(perm[p], perm[c]) for c, p in enumerate(tree.parent) if p is not None]
+    return tree.n, list(draw(st.permutations(edges)))
+
+
+def plain(n, edges) -> str:
+    """The edge list in serialize's exact form."""
+    return f"{n}\n" + "".join(f"{p} {c}\n" for p, c in edges)
+
+
+LAYOUTS = ("crlf", "blank lines", "extra spaces", "leading zeros", "no final LF")
+
+
+def render(n, edges, layout, rng) -> str:
+    """The edge list in a layout the per-line reader accepts: each chosen
+    variation is applied at random places, possibly none."""
+    def num(v):
+        if "leading zeros" in layout and rng.random() < 0.5:
+            return "0" * rng.randint(1, 2) + str(v)
+        return str(v)
+
+    def pad():
+        return rng.choice(("", " ", "  ", "\t")) if "extra spaces" in layout else ""
+
+    lines = [pad() + num(n) + pad()]
+    for p, c in edges:
+        sep = rng.choice((" ", "  ", "\t ")) if "extra spaces" in layout else " "
+        lines.append(pad() + num(p) + sep + num(c) + pad())
+    if "blank lines" in layout:
+        for _ in range(rng.randint(1, 3)):
+            lines.insert(rng.randint(1, len(lines)), rng.choice(("", " ", "\t")))
+    eol = "\r\n" if "crlf" in layout else "\n"
+    return eol.join(lines) + ("" if "no final LF" in layout else eol)
+
+
+@settings(deadline=None, max_examples=300)
+@given(edge_lists(40), st.sets(st.sampled_from(LAYOUTS)),
+       st.randoms(use_true_random=False))
+def test_parse_matches_per_line_reader(case, layout, rng):
+    n, edges = case
+    text = render(n, edges, layout, rng)
+    # The bulk path reads exactly the texts in serialize's form.
+    assert (_parse_canonical(text) is not None) == (text == plain(n, edges))
+    ref = _parse_lines(text)
+    assert all(ref.parent[c] == p for p, c in edges)
+    got = parse(text)
+    assert (got.n, got.root, got.parent, got.kids, got.children) == (
+        ref.n, ref.root, ref.parent, ref.kids, ref.children)
+
+
+def _descendants(edges, v) -> list:
+    below = {}
+    for p, c in edges:
+        below.setdefault(p, []).append(c)
+    out, stack = [], list(below.get(v, ()))
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        stack.extend(below.get(u, ()))
+    return out
+
+
+MUTATIONS = ("duplicate line", "out-of-range id", "self-loop", "cycle",
+             "second parent")
+
+
+@settings(deadline=None, max_examples=300)
+@given(edge_lists(40, min_n=3), st.sampled_from(MUTATIONS), st.data())
+def test_parse_rejects_like_per_line_reader(case, mutation, data):
+    n, edges = case
+    i = data.draw(st.integers(0, len(edges) - 1), label="line")
+    p, c = edges[i]
+    if mutation == "duplicate line":
+        j = data.draw(st.integers(0, len(edges)), label="at")
+        if data.draw(st.booleans(), label="in place of another line"):
+            assume(j != i and j < len(edges))
+            edges[j] = edges[i]  # still n - 1 edge lines
+        else:
+            edges.insert(j, edges[i])
+    elif mutation == "out-of-range id":
+        bad = n + data.draw(st.integers(0, 3), label="past n")
+        edges[i] = data.draw(st.sampled_from(((bad, c), (p, bad))), label="edge")
+    elif mutation == "self-loop":
+        edges[i] = (c, c)
+    elif mutation == "cycle":
+        below = _descendants(edges, c)
+        assume(below)
+        edges[i] = (data.draw(st.sampled_from(below), label="descendant"), c)
+    else:  # a second parent for another child, whose own line stays
+        c2, p2 = data.draw(st.sampled_from([(v, u) for u, v in edges if v != c]),
+                           label="child")
+        q = data.draw(st.sampled_from([u for u in range(n) if u not in (c2, p2)]),
+                      label="second parent")
+        edges[i] = (q, c2)
+    text = plain(n, edges)
+    assert _parse_canonical(text) is None
+    with pytest.raises(ParseError) as ref:
+        _parse_lines(text)
+    with pytest.raises(ParseError) as got:
+        parse(text)
+    assert (got.value.line, got.value.reason) == (ref.value.line, ref.value.reason)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -273,3 +274,36 @@ def test_roundtrip_tolerates_relabeled_input():
             lines.append(f"{perm[u]} {perm[c]}")
     relabeled = parse("\n".join(lines) + "\n")
     assert shape(relabeled) == shape(t)
+
+
+# ---------------------------------------------------------------------------
+# Memory
+# ---------------------------------------------------------------------------
+
+def _peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Measured tracemalloc peaks on the order-20 Fibonacci tree (10,946 nodes,
+# a 190,261-byte edge list), plus a margin of about 20%: parse 1.67 MB,
+# generate then serialize 2.28 MB.  They guard the peak memory of
+# generate --out and compute on large trees.
+PARSE_PEAK_BOUND = 2_000_000
+GENERATE_PEAK_BOUND = 2_750_000
+
+
+def test_parse_memory_stays_small():
+    text = serialize(fibonacci_tree(20))
+    assert _peak(parse, text) < PARSE_PEAK_BOUND
+    # Reading the integers by str.split instead holds a string per token,
+    # and that alone is past the bound.
+    assert _peak(lambda: list(map(int, text.split()))) > PARSE_PEAK_BOUND
+
+
+def test_generate_and_serialize_memory_stays_small():
+    assert _peak(lambda: serialize(generate(TreeFamily.FIBONACCI, 20))) < GENERATE_PEAK_BOUND
