@@ -100,6 +100,9 @@ def _sweep(family: TreeFamily, max_order: int, node_budget: int,
             ran["linear"] = _timed(oracle.wiener_linear, tree)
             if n <= min(bfs_budget, MAX_BFS_NODES):
                 ran["bfs"] = _timed(oracle.wiener_bfs, tree)
+            # Dropped now: no tree lives on past the node budget, or while
+            # the next one is generated.
+            del tree
         yield k, n, ran
 
 

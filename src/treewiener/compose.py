@@ -12,7 +12,8 @@ Replaying a family's recursive construction with join then yields the exact
 (n, W, D_root) of the order-k tree in O(k) integer operations, which is the
 cross-check used against both the closed forms and the brute-force oracles.
 The construction rules themselves live with the families, as the grow field
-of treewiener.trees.FamilySpec; this module knows no family by name.
+of treewiener.trees.FamilySpec, which trees.generate runs on the trees
+themselves; this module knows no family by name.
 """
 
 from collections import namedtuple
@@ -81,12 +82,18 @@ def join(a: TreeSummary, b: TreeSummary) -> TreeSummary:
     )
 
 
+def _join_nonempty(a: TreeSummary, b) -> TreeSummary:
+    """join(a, b), where b = None, the empty tree, leaves a as it is; join
+    is looked up at call time, so replacing it reaches replay."""
+    return a if b is None else join(a, b)
+
+
 def replay_family(family, k: int) -> TreeSummary:
     """Summary of the order-k tree of a trees.TreeFamily (anchor = root).
 
     Starts from the single vertex at the family's min_summary_order, with
     None, the empty tree, one order below it, and applies the family's grow
-    rule once per order up to k: O(k) joins.
+    rule, on summaries, once per order up to k: O(k) joins.
     """
     spec = family.spec
     floor = spec.min_summary_order
@@ -96,5 +103,5 @@ def replay_family(family, k: int) -> TreeSummary:
         )
     prev, cur = None, SINGLE  # orders i-2 (None = empty), i-1
     for _ in range(k - floor):
-        prev, cur = cur, spec.grow(prev, cur)
+        prev, cur = cur, spec.grow(_join_nonempty, SINGLE, prev, cur)
     return cur

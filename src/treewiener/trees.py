@@ -11,10 +11,12 @@ All three families are ordered trees built by a recursive composition rule:
   as left subtree and the order-(k-2) tree as right subtree; F(k+2) - 1
   nodes (order 0 is the empty tree, order 1 a single node).
 
-Generators build a parent list by concatenation, order by order (doubling
-for binomial trees), never recursively, so order is limited only by the node
-budget, not call depth; one stable sort of the ids by parent then gives the
-flat child array.
+Each rule is written once, as the family's FamilySpec.grow, over a join,
+a single tree and an empty tree that the caller supplies.  generate runs it
+on parent lists, joined by concatenation, order by order, never
+recursively, so order is limited only by the node budget, not call depth;
+one stable sort of the ids by parent then gives the flat child array.
+compose.replay_family runs the same rule on (n, W, D) summaries.
 """
 
 import re
@@ -24,7 +26,7 @@ from itertools import count, groupby, islice
 from operator import countOf, lt
 from typing import Callable, NamedTuple
 
-from treewiener import compose, formulas
+from treewiener import formulas
 from treewiener.errors import (
     InvalidOrderError,
     ParseError,
@@ -61,7 +63,7 @@ class RootedTree:
     as the order-0 binary Fibonacci tree.
     """
 
-    __slots__ = ("n", "root", "parent", "kids", "_children")
+    __slots__ = ("n", "root", "parent", "kids", "_children", "_bottom_up")
 
     def __init__(self, n, root, parent, kids):
         self.n = n
@@ -69,6 +71,7 @@ class RootedTree:
         self.parent = parent
         self.kids = kids
         self._children = None
+        self._bottom_up = None
 
     @classmethod
     def empty(cls) -> "RootedTree":
@@ -94,7 +97,7 @@ class RootedTree:
         parent = list(parents)
         root = parent.index(None)
         tree = _grouped(parent, root, (v for v in range(n) if v != root))
-        if len(tree.top_down()) != n:
+        if len(tree.bottom_up()) != n - 1:
             raise ValueError("parent list does not describe a connected tree")
         return tree
 
@@ -119,28 +122,26 @@ class RootedTree:
             i = j
         return lists
 
-    def top_down(self) -> list:
-        """The nodes reached from the root by child links, each after its
-        parent: all n of them exactly when the parent list is a tree."""
-        if self.n == 0:
-            return []
-        children = self.child_lists(())
-        order = []
-        stack = [self.root]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            stack.extend(children[u])
-        return order
-
     def bottom_up(self):
-        """The non-root nodes, each before its parent.  When every parent
-        id is smaller than its child's, as in every generated tree and
-        every file generate writes, that is the ids counting down, and no
-        walk is needed."""
-        if _parents_first(self.parent):
-            return range(self.n - 1, 0, -1)
-        return self.top_down()[:0:-1]
+        """The non-root nodes, each before its parent: all n - 1 of them
+        exactly when the parent list is a tree.  When every parent id is
+        smaller than its child's, as in every generated tree and every file
+        generate writes, that is the ids counting down; otherwise it is a
+        walk from the root by child links, reversed.  Worked out on first
+        use and kept, so the check that parse makes serves wiener_linear."""
+        if self._bottom_up is None:
+            if _parents_first(self.parent):
+                self._bottom_up = range(self.n - 1, 0, -1)
+            else:
+                children = self.child_lists(())
+                order = []
+                stack = [self.root] if self.n else []
+                while stack:
+                    u = stack.pop()
+                    order.append(u)
+                    stack.extend(children[u])
+                self._bottom_up = order[:0:-1]
+        return self._bottom_up
 
     def degree(self, v: int) -> int:
         return len(self.children[v]) + (0 if self.parent[v] is None else 1)
@@ -174,13 +175,6 @@ def node_count(family: TreeFamily, k: int) -> int:
     return spec.nodes(k)
 
 
-def _check_budget(family: TreeFamily, k: int, max_nodes: int) -> int:
-    n = node_count(family, k)
-    if n > max_nodes:
-        raise ResourceLimitError(n, max_nodes)
-    return n
-
-
 def _attach(parent: list, sub: list) -> list:
     """parent and sub as one parent list: sub's ids are shifted past
     parent's, and sub's root, its id 0, becomes a child of node 0.  An
@@ -194,50 +188,24 @@ def _attach(parent: list, sub: list) -> list:
 
 
 def binomial_tree(k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedTree:
-    """Order-k binomial tree (2^k nodes), root id 0.
-
-    Built by doubling: each round attaches a copy of the current tree as
-    the new leftmost child of node 0, so the root ends up with k children
-    of subtree sizes 2^(k-1), ..., 2, 1 left to right, and every node's
-    children run in decreasing id.
-    """
-    _check_budget(TreeFamily.BINOMIAL, k, max_nodes)
-    parent = [None]
-    for _ in range(k):
-        parent = _attach(parent, parent)
-    return _grouped(parent, 0, range(len(parent) - 1, 0, -1))
+    """Order-k binomial tree (2^k nodes), root id 0.  Each order's new
+    leftmost subtree takes the ids after the previous tree's, so the root's
+    children, of sizes 2^(k-1), ..., 2, 1 left to right, and every other
+    node's run in decreasing id."""
+    return generate(TreeFamily.BINOMIAL, k, max_nodes)
 
 
 def fibonacci_tree(k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedTree:
     """Order-k Fibonacci tree (F(k+2) nodes), root id 0, ids in preorder.
-
-    The order-(k-2) tree's ids follow the order-(k-1) tree's, and its root
-    becomes the rightmost child of node 0.  Unrolled, a node of order
-    j >= 1 has children of orders -1, 0, ..., j-2, in increasing id.
-    """
-    _check_budget(TreeFamily.FIBONACCI, k, max_nodes)
-    prev, cur = [None], [None]  # orders -1 and 0
-    for _ in range(k):
-        prev, cur = cur, _attach(cur, prev)
-    return _grouped(cur, 0, range(1, len(cur)))
+    Unrolled, a node of order j >= 1 has children of orders -1, 0, ...,
+    j-2, in increasing id."""
+    return generate(TreeFamily.FIBONACCI, k, max_nodes)
 
 
 def binary_fibonacci_tree(k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedTree:
-    """Order-k binary Fibonacci tree (F(k+2) - 1 nodes), ids in preorder;
-    order 0 is empty.  A fresh root 0 takes the order-(k-1) tree as its
-    left child and then the order-(k-2) tree as its right one."""
-    _check_budget(TreeFamily.BINARY_FIBONACCI, k, max_nodes)
-    if k == 0:
-        return RootedTree.empty()
-    prev, cur = [], [None]  # orders 0 and 1
-    for _ in range(k - 1):
-        prev, cur = cur, _attach(_attach([None], cur), prev)
-    return _grouped(cur, 0, range(1, len(cur)))
-
-
-def _join(a: compose.TreeSummary, b) -> compose.TreeSummary:
-    """compose.join(a, b), where b = None, the empty tree, leaves a as it is."""
-    return a if b is None else compose.join(a, b)
+    """Order-k binary Fibonacci tree (F(k+2) - 1 nodes), root id 0, ids in
+    preorder; order 0 is empty."""
+    return generate(TreeFamily.BINARY_FIBONACCI, k, max_nodes)
 
 
 class FamilySpec(NamedTuple):
@@ -245,24 +213,24 @@ class FamilySpec(NamedTuple):
 
     min_order is the smallest order with a tree; min_summary_order the
     smallest with a root and hence a Wiener index and an (n, W, D) summary.
-    nodes(k) is the closed-form node count, build(k, max_nodes) the
-    generator, closed(k) and recurrence(k) evaluate W.  grow(prev, cur) is
-    the construction rule on (n, W, D) summaries: from the summaries of
-    orders i-2 and i-1 (None for the empty tree below min_summary_order) it
-    builds the summary of order i, which compose.replay_family iterates.
-    verify_note is a line verify adds after its sweep, or None.  The
-    evaluators and the rules look formulas.wiener_* and compose.join up at
-    call time, so replacing a module attribute reaches every caller.
+    nodes(k) is the closed-form node count; closed(k) and recurrence(k)
+    evaluate W.  grow(join, single, prev, cur) is the family's construction
+    rule, the only place it is written: from the trees of orders i-2 and
+    i-1 it builds the tree of order i, where join(a, b) attaches b's root
+    as a child of a's and single is the one-node tree; the order below
+    min_summary_order is the empty tree.  generate runs it on parent
+    lists and compose.replay_family on (n, W, D) summaries.  verify_note is
+    a line verify adds after its sweep, or None.  The evaluators look
+    formulas.wiener_* up at call time, so replacing a module attribute
+    reaches every caller.
     """
 
     min_order: int
     min_summary_order: int
     nodes: Callable[[int], int]
-    build: Callable[[int, int], RootedTree]
     closed: Callable[[int], int]
     recurrence: Callable[[int], int]
-    grow: Callable[[compose.TreeSummary | None, compose.TreeSummary],
-                   compose.TreeSummary]
+    grow: Callable
     verify_note: str | None = None
 
 
@@ -274,28 +242,25 @@ _SPECS = {
         min_order=0,
         min_summary_order=0,
         nodes=pow2,
-        build=binomial_tree,
         closed=lambda k: formulas.wiener_binomial(k),
         recurrence=lambda k: formulas.wiener_binomial_recurrence(k),
-        grow=lambda prev, cur: compose.join(cur, cur),
+        grow=lambda join, single, prev, cur: join(cur, cur),
     ),
     TreeFamily.FIBONACCI: FamilySpec(
         min_order=-1,
         min_summary_order=-1,
         nodes=lambda k: fib(k + 2),
-        build=fibonacci_tree,
         closed=lambda k: formulas.wiener_fib_closed(k),
         recurrence=lambda k: formulas.wiener_fib(k),
-        grow=lambda prev, cur: _join(cur, prev),
+        grow=lambda join, single, prev, cur: join(cur, prev),
     ),
     TreeFamily.BINARY_FIBONACCI: FamilySpec(
         min_order=0,
         min_summary_order=1,  # order 0 is the empty tree
         nodes=lambda k: fib(k + 2) - 1,
-        build=binary_fibonacci_tree,
         closed=lambda k: formulas.wiener_binfib_closed(k),
         recurrence=lambda k: formulas.wiener_binfib(k),
-        grow=lambda prev, cur: _join(compose.join(compose.SINGLE, cur), prev),
+        grow=lambda join, single, prev, cur: join(join(single, cur), prev),
         # A fixed sentence; the tests check its two numbers against the
         # literal and corrected recurrences at order 3.
         verify_note=(
@@ -305,10 +270,31 @@ _SPECS = {
     ),
 }
 
+# Child order, the one fact of a construction that grow does not state: a
+# binomial order attaches the new subtree as the leftmost child, so its
+# children run in decreasing id; the Fibonacci families attach it as the
+# rightmost, so theirs run in increasing id.
+_LEFTMOST_ATTACH = {TreeFamily.BINOMIAL}
+
 
 def generate(family: TreeFamily, k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedTree:
-    """Family-dispatching generator."""
-    return family.spec.build(k, max_nodes)
+    """The order-k tree of a family, root id 0, once the node budget
+    allows it: the empty tree below min_summary_order, and from the single
+    node there the family's grow rule run on parent lists, with _attach as
+    join, one order at a time."""
+    n = node_count(family, k)
+    if n > max_nodes:
+        raise ResourceLimitError(n, max_nodes)
+    spec = family.spec
+    if k < spec.min_summary_order:
+        return RootedTree.empty()
+    prev, cur = [], [None]  # orders i-2 and i-1
+    for _ in range(k - spec.min_summary_order):
+        # A fresh single tree each time: _attach(a, []) returns a itself.
+        prev, cur = cur, spec.grow(_attach, [None], prev, cur)
+    del prev  # the tree of the order below, not needed for the sort
+    ids = range(n - 1, 0, -1) if family in _LEFTMOST_ATTACH else range(1, n)
+    return _grouped(cur, 0, ids)
 
 
 def serialize(tree: RootedTree) -> str:
@@ -351,7 +337,8 @@ def _parse_canonical(text: str):
     counted before anything is sized by n; every id below n; one node
     without a parent after the child ids are scattered into parent[], so
     no child is repeated; and either every parent id below its child's, or
-    a walk from the root that reaches all n nodes, so there is no cycle.
+    a walk from the root that reaches all n nodes, so there is no cycle
+    (the tree's bottom_up, which keeps the answer for wiener_linear).
     """
     if re.match(_HEADER, text) is None or re.search(_BAD_LINE, text):
         return None
@@ -372,7 +359,7 @@ def _parse_canonical(text: str):
     if parent.count(None) != 1:
         return None
     tree = _grouped(parent, parent.index(None), kids)
-    if not _parents_first(parent) and len(tree.top_down()) != n:
+    if len(tree.bottom_up()) != n - 1:
         return None
     return tree
 

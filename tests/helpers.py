@@ -1,11 +1,12 @@
-"""Shared tree builders, comparisons, the one-search-at-a-time BFS
-reference and the arithmetic counter for the test suite."""
+"""Shared tree builders, comparisons, the recursive family references, the
+one-search-at-a-time BFS reference and the arithmetic counter for the test
+suite."""
 
 import dis
 import random
 import sys
 
-from treewiener.trees import RootedTree
+from treewiener.trees import RootedTree, TreeFamily
 
 
 def random_tree(rng: random.Random, n: int) -> RootedTree:
@@ -32,6 +33,61 @@ def relabel(rng: random.Random, tree: RootedTree) -> RootedTree:
     for v, p in enumerate(tree.parent):
         parents[perm[v]] = None if p is None else perm[p]
     return RootedTree.from_parents(parents)
+
+
+# The three families written again from the prose definitions in the
+# treewiener.trees docstring, recursively and apart from FamilySpec.grow, as
+# nested shapes: a node is the tuple of its subtrees, left to right, and the
+# empty tree is None.
+
+def binomial_shape(k: int):
+    """Two order-(k-1) trees, one the leftmost child of the other's root."""
+    if k == 0:
+        return ()
+    sub = binomial_shape(k - 1)
+    return (sub,) + sub
+
+
+def fibonacci_shape(k: int):
+    """The order-(k-2) tree as the rightmost child of the order-(k-1)
+    tree's root; orders -1 and 0 are a single node."""
+    if k <= 0:
+        return ()
+    return fibonacci_shape(k - 1) + (fibonacci_shape(k - 2),)
+
+
+def binary_fibonacci_shape(k: int):
+    """A fresh root with the order-(k-1) tree as left subtree and the
+    order-(k-2) tree as right subtree; order 0 is empty, order 1 a single
+    node."""
+    if k <= 1:
+        return None if k == 0 else ()
+    return tuple(t for t in (binary_fibonacci_shape(k - 1),
+                             binary_fibonacci_shape(k - 2)) if t is not None)
+
+
+def reference_tree(family: TreeFamily, k: int) -> tuple:
+    """(parent, children) of the order-k tree, labelled as the generators
+    document: ids in preorder, except that a binomial tree numbers each
+    node's subtrees right to left, since each order's new leftmost subtree
+    takes the ids after the previous tree's."""
+    shape = {TreeFamily.BINOMIAL: binomial_shape,
+             TreeFamily.FIBONACCI: fibonacci_shape,
+             TreeFamily.BINARY_FIBONACCI: binary_fibonacci_shape}[family](k)
+    right_to_left = family is TreeFamily.BINOMIAL
+    parent, children = [], []
+
+    def visit(node, p) -> int:
+        v = len(parent)
+        parent.append(p)
+        children.append(None)
+        ids = [visit(sub, v) for sub in (node[::-1] if right_to_left else node)]
+        children[v] = ids[::-1] if right_to_left else ids
+        return v
+
+    if shape is not None:
+        visit(shape, None)
+    return parent, children
 
 
 def adjacency(tree: RootedTree) -> list:

@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 
-from treewiener import cli, compose, formulas, oracle
+from treewiener import cli, compose, formulas, oracle, trees
 from treewiener.errors import NotDivisibleError
 from treewiener.trees import TreeFamily
 
@@ -272,6 +273,22 @@ def test_compute_bfs_on_generated_tree(tmp_path, capsys):
     assert rc == 0 and out == "10\n"
 
 
+@pytest.mark.parametrize("family", [f.value for f in TreeFamily])
+def test_compute_walks_a_generated_file_once(tmp_path, capsys, monkeypatch, family):
+    # parse's check that the file is a tree also gives wiener_linear its
+    # order: one _parents_first walk per compute, not one each.
+    f = tmp_path / "t.tree"
+    assert cli.main(["generate", "--family", family, "--order", "9",
+                     "--out", str(f)]) == 0
+    walks = []
+    real = trees._parents_first
+    monkeypatch.setattr(trees, "_parents_first",
+                        lambda parent: walks.append(len(parent)) or real(parent))
+    rc, out, _ = run_cli(capsys, ["compute", "--in", str(f)])
+    assert rc == 0 and out == f"{cli.ROUTES['closed'](TreeFamily(family), 9)}\n"
+    assert len(walks) == 1
+
+
 def test_compute_bfs_past_node_cap_exits_2_before_any_search(tmp_path, capsys,
                                                           monkeypatch):
     def path_file(n):
@@ -499,6 +516,22 @@ def test_bench_and_verify_gate_the_oracles_alike(capsys, monkeypatch):
     assert [row[4] == "ran" for row in bench] == [row[4] != "-" for row in verify]
     assert [row[3:] for row in bench] == (
         [["ran", "ran"]] * 4 + [["ran", "skipped"]] * 2 + [["skipped", "skipped"]])
+
+
+def test_sweep_drops_each_tree_after_its_oracles():
+    # Binary Fibonacci orders 17 to 19 have 4180, 6764 and 10945 nodes, past
+    # the budget, so they run only the routes: no tree should be alive
+    # there.  The order-16 tree (2583 nodes) takes about 0.2 MB.  The
+    # quadratic oracle is left out (bfs_budget 0): it is slow under
+    # tracemalloc and holds no tree of its own.
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = {k: tracemalloc.get_traced_memory()[0] - base
+                for k, _, _ in cli._sweep(TreeFamily.BINARY_FIBONACCI, 19, 3000, 0)}
+    finally:
+        tracemalloc.stop()
+    assert max(held[k] for k in (17, 18, 19)) < 50_000, held
 
 
 def test_bench_infeasible_tiers_marked(capsys):

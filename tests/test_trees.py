@@ -18,7 +18,7 @@ from treewiener.trees import (
     serialize,
 )
 
-from helpers import random_tree, shape
+from helpers import random_tree, reference_tree, shape
 
 
 def subtree_size(tree, v):
@@ -121,6 +121,19 @@ def test_generate_dispatch():
     for family in TreeFamily:
         k = 3 if family is not TreeFamily.FIBONACCI else 4
         assert generate(family, k).n == node_count(family, k)
+
+
+@pytest.mark.parametrize("family", list(TreeFamily))
+def test_generate_matches_recursive_reference(family):
+    # generate and compose.replay_family run one grow rule, so this
+    # reference, built from the prose definitions, is what checks the rule.
+    k = family.spec.min_order
+    while node_count(family, k) <= 5000:
+        parent, children = reference_tree(family, k)
+        tree = generate(family, k)
+        assert tree.parent == parent, f"{family.value} k={k}"
+        assert tree.children == children, f"{family.value} k={k}"
+        k += 1
 
 
 def test_node_budget_enforced():
