@@ -38,8 +38,8 @@ from treewiener.trees import (
 
 FAMILY_CHOICES = [f.value for f in TreeFamily]
 
-# Work caps on an order, checked before any evaluation starts; both sit far
-# above the largest order a benchmark request asks for (12,000).
+# Work caps on an order, checked before any evaluation starts.  The first
+# two sit far above the largest order a benchmark request asks for (12,000).
 #
 # MAX_RESULT_BITS caps --method closed by a bound on W's bit length that k
 # alone gives: from order 0 on, every family has at most 2^k vertices, any
@@ -49,11 +49,15 @@ FAMILY_CHOICES = [f.value for f in TreeFamily]
 MAX_RESULT_BITS = 1 << 23
 # MAX_LINEAR_ORDER caps k for the O(k) routes, recurrence and replay, whose
 # integers grow with k, so that their time grows like k^2: replay takes tens
-# of seconds at the cap.  It also caps the --max-order of verify and bench,
-# which run replay at every order of their sweep, and the order of generate,
-# whose node count (2^k or a Fibonacci number near phi^k) is computed before
-# the node budget can refuse it.
+# of seconds at the cap.  It also caps the order of generate, whose node
+# count (2^k or a Fibonacci number near phi^k) is computed before the node
+# budget can refuse it.
 MAX_LINEAR_ORDER = 50_000
+# MAX_SWEEP_ORDER caps the --max-order K of verify and bench, whose sweep
+# runs recurrence and replay from scratch at every order up to K, so that
+# its time grows like K^3: the slowest family's sweep, binary Fibonacci,
+# stays under 30 s at the cap (timings in CHANGES.md).
+MAX_SWEEP_ORDER = 2_500
 # MAX_BFS_NODES caps the tree the quadratic oracle searches, in compute
 # --algo bfs, verify and bench (which also keeps its --bfs-budget), and is
 # bench's default --bfs-budget.  Its n searches visit n^2 source-vertex
@@ -63,11 +67,10 @@ MAX_LINEAR_ORDER = 50_000
 MAX_BFS_NODES = 10_000
 
 
-def _check_linear_order(k: int, what: str,
-                        capped: str = "the O(k) recurrence and replay routes") -> None:
-    if k > MAX_LINEAR_ORDER:
+def _check_order(k: int, cap: int, what: str, capped: str) -> None:
+    if k > cap:
         raise TreeWienerError(
-            f"{what} {k} exceeds the cap of {MAX_LINEAR_ORDER} on the order of {capped}")
+            f"{what} {k} exceeds the cap of {cap} on the order of {capped}")
 
 
 # The evaluation routes, each (family, k) -> W: the --method choices of
@@ -91,7 +94,7 @@ def _sweep(family: TreeFamily, max_order: int, node_budget: int,
     start = family.spec.min_summary_order
     if max_order < start:
         raise InvalidOrderError(f"--max-order must be >= {start} for {family.value}")
-    _check_linear_order(max_order, "--max-order")
+    _check_order(max_order, MAX_SWEEP_ORDER, "--max-order", "a verify or bench sweep")
     for k in range(start, max_order + 1):
         n = node_count(family, k)
         ran = {name: _timed(route, family, k) for name, route in ROUTES.items()}
@@ -166,7 +169,7 @@ def cmd_closed_form(args) -> int:
                 f"order {k} exceeds the cap on the closed form's result: W may "
                 f"need {bits} bits, more than {MAX_RESULT_BITS}")
     else:
-        _check_linear_order(k, "order")
+        _check_order(k, MAX_LINEAR_ORDER, "order", "the O(k) recurrence and replay routes")
     value = _decimal(ROUTES[args.method](family, k))
     if args.json:
         import json
@@ -179,7 +182,7 @@ def cmd_closed_form(args) -> int:
 
 def cmd_generate(args) -> int:
     family = TreeFamily(args.family)
-    _check_linear_order(args.order, "order", "a generated tree")
+    _check_order(args.order, MAX_LINEAR_ORDER, "order", "a generated tree")
     text = serialize(generate(family, args.order, max_nodes=args.max_nodes))
     # Rendered before the file is opened, so an error while rendering
     # leaves no empty file, and an existing one as it was.

@@ -12,8 +12,9 @@ Replaying a family's recursive construction with join then yields the exact
 (n, W, D_root) of the order-k tree in O(k) integer operations, which is the
 cross-check used against both the closed forms and the brute-force oracles.
 The construction rules themselves live with the families, as the grow field
-of treewiener.trees.FamilySpec, which trees.generate runs on the trees
-themselves; this module knows no family by name.
+of treewiener.trees.FamilySpec, and FamilySpec.build is the one loop that
+runs them, here on summaries and in trees.generate on the trees themselves;
+this module knows no family by name.
 """
 
 from collections import namedtuple
@@ -91,17 +92,13 @@ def _join_nonempty(a: TreeSummary, b) -> TreeSummary:
 def replay_family(family, k: int) -> TreeSummary:
     """Summary of the order-k tree of a trees.TreeFamily (anchor = root).
 
-    Starts from the single vertex at the family's min_summary_order, with
-    None, the empty tree, one order below it, and applies the family's grow
-    rule, on summaries, once per order up to k: O(k) joins.
+    The family's FamilySpec.build on summaries: the single vertex at
+    min_summary_order, None, the empty tree, one order below it, and the
+    grow rule once per order up to k: O(k) joins.
     """
-    spec = family.spec
-    floor = spec.min_summary_order
+    floor = family.spec.min_summary_order
     if k < floor:
         raise InvalidOrderError(
             f"{family.value} summaries need order >= {floor}, got {k}"
         )
-    prev, cur = None, SINGLE  # orders i-2 (None = empty), i-1
-    for _ in range(k - floor):
-        prev, cur = cur, spec.grow(_join_nonempty, SINGLE, prev, cur)
-    return cur
+    return family.spec.build(k, _join_nonempty, SINGLE, None)

@@ -57,11 +57,11 @@ def _distance_total(tree: RootedTree, sources: Sequence[int]) -> int:
     than one search at a time (see wiener_bfs).
     """
     n = tree.n
-    # A list per node spares the inner loop a slice of the flat child
-    # array at every step.  The leaves share one empty tuple, and no tuple
-    # per node is made: freed small tuples stay on the interpreter's free
-    # lists, which kept about 0.4 MB past a verify sweep.
-    children, parent = tree.child_lists(()), tree.parent
+    # A list per node, whose leaves share one, spares the inner loop a
+    # slice of the flat child array at every step.  No tuple per node is
+    # made: freed small tuples stay on the interpreter's free lists, which
+    # kept about 0.4 MB past a verify sweep.
+    children, parent = tree.children, tree.parent
     frontier = [0] * n  # both all zero between sweeps
     arriving = [0] * n
     total = 0

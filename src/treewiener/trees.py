@@ -12,11 +12,12 @@ All three families are ordered trees built by a recursive composition rule:
   nodes (order 0 is the empty tree, order 1 a single node).
 
 Each rule is written once, as the family's FamilySpec.grow, over a join,
-a single tree and an empty tree that the caller supplies.  generate runs it
-on parent lists, joined by concatenation, order by order, never
-recursively, so order is limited only by the node budget, not call depth;
-one stable sort of the ids by parent then gives the flat child array.
-compose.replay_family runs the same rule on (n, W, D) summaries.
+a single tree and an empty tree that the caller supplies, and one loop,
+FamilySpec.build, runs it order by order, never recursively.  generate
+builds parent lists joined by concatenation, so order is limited only by
+the node budget, not call depth; one stable sort of the ids by parent, in
+the order the spec's leftmost flag gives, then yields the flat child array.
+compose.replay_family builds (n, W, D) summaries with the same loop.
 """
 
 import re
@@ -103,24 +104,18 @@ class RootedTree:
 
     @property
     def children(self) -> list:
-        """children[v] lists v's children left to right.  Built from the
-        flat arrays on first use and kept; read it, do not change it."""
+        """children[v] lists v's children left to right: a slice of kids per
+        parent, and one empty list that every leaf shares.  Built on first
+        use and kept; read it, do not change it."""
         if self._children is None:
-            self._children = self.child_lists()
+            kids = self.kids
+            lists = self._children = [[]] * self.n
+            i = 0
+            for p, group in groupby(map(self.parent.__getitem__, kids)):
+                j = i + countOf(group, p)
+                lists[p] = kids[i:j]
+                i = j
         return self._children
-
-    def child_lists(self, leaf=None) -> list:
-        """A fresh list of every node's children, left to right: a slice
-        of kids per parent, and for every leaf its own empty list, or
-        `leaf`, one object all leaves share, when given."""
-        kids = self.kids
-        lists = [[] for _ in range(self.n)] if leaf is None else [leaf] * self.n
-        i = 0
-        for p, group in groupby(map(self.parent.__getitem__, kids)):
-            j = i + countOf(group, p)
-            lists[p] = kids[i:j]
-            i = j
-        return lists
 
     def bottom_up(self):
         """The non-root nodes, each before its parent: all n - 1 of them
@@ -133,7 +128,7 @@ class RootedTree:
             if _parents_first(self.parent):
                 self._bottom_up = range(self.n - 1, 0, -1)
             else:
-                children = self.child_lists(())
+                children = self.children
                 order = []
                 stack = [self.root] if self.n else []
                 while stack:
@@ -178,7 +173,8 @@ def node_count(family: TreeFamily, k: int) -> int:
 def _attach(parent: list, sub: list) -> list:
     """parent and sub as one parent list: sub's ids are shifted past
     parent's, and sub's root, its id 0, becomes a child of node 0.  An
-    empty sub adds nothing."""
+    empty sub adds nothing.  Neither argument is changed, so one single
+    tree [None] serves every order of a build."""
     if not sub:
         return parent
     off = len(parent)
@@ -217,12 +213,11 @@ class FamilySpec(NamedTuple):
     evaluate W.  grow(join, single, prev, cur) is the family's construction
     rule, the only place it is written: from the trees of orders i-2 and
     i-1 it builds the tree of order i, where join(a, b) attaches b's root
-    as a child of a's and single is the one-node tree; the order below
-    min_summary_order is the empty tree.  generate runs it on parent
-    lists and compose.replay_family on (n, W, D) summaries.  verify_note is
-    a line verify adds after its sweep, or None.  The evaluators look
-    formulas.wiener_* up at call time, so replacing a module attribute
-    reaches every caller.
+    as a child of a's and single is the one-node tree; build runs it.
+    leftmost says where join puts the new child: first among a's root's
+    children (binomial), or last.  verify_note is a line verify adds after
+    its sweep, or None.  The evaluators look formulas.wiener_* up at call
+    time, so replacing a module attribute reaches every caller.
     """
 
     min_order: int
@@ -231,7 +226,19 @@ class FamilySpec(NamedTuple):
     closed: Callable[[int], int]
     recurrence: Callable[[int], int]
     grow: Callable
+    leftmost: bool = False
     verify_note: str | None = None
+
+    def build(self, k: int, join, single, empty):
+        """The order-k tree, for k >= min_summary_order, in the algebra of
+        join, single and empty: single at min_summary_order, empty one order
+        below, and grow once per order above, never recursively.  The one
+        loop that runs grow: generate runs it on parent lists and
+        compose.replay_family on (n, W, D) summaries."""
+        prev, cur = empty, single  # orders i-2 and i-1
+        for _ in range(k - self.min_summary_order):
+            prev, cur = cur, self.grow(join, single, prev, cur)
+        return cur
 
 
 # closed evaluates W in O(log k) big-integer multiplications, recurrence in
@@ -245,6 +252,7 @@ _SPECS = {
         closed=lambda k: formulas.wiener_binomial(k),
         recurrence=lambda k: formulas.wiener_binomial_recurrence(k),
         grow=lambda join, single, prev, cur: join(cur, cur),
+        leftmost=True,
     ),
     TreeFamily.FIBONACCI: FamilySpec(
         min_order=-1,
@@ -270,31 +278,21 @@ _SPECS = {
     ),
 }
 
-# Child order, the one fact of a construction that grow does not state: a
-# binomial order attaches the new subtree as the leftmost child, so its
-# children run in decreasing id; the Fibonacci families attach it as the
-# rightmost, so theirs run in increasing id.
-_LEFTMOST_ATTACH = {TreeFamily.BINOMIAL}
-
 
 def generate(family: TreeFamily, k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedTree:
     """The order-k tree of a family, root id 0, once the node budget
-    allows it: the empty tree below min_summary_order, and from the single
-    node there the family's grow rule run on parent lists, with _attach as
-    join, one order at a time."""
+    allows it: the empty tree below min_summary_order, else spec.build on
+    parent lists with _attach as join.  Each join appends the new child's
+    ids, so a leftmost family's children run in decreasing id and the
+    others' in increasing id."""
     n = node_count(family, k)
     if n > max_nodes:
         raise ResourceLimitError(n, max_nodes)
     spec = family.spec
     if k < spec.min_summary_order:
         return RootedTree.empty()
-    prev, cur = [], [None]  # orders i-2 and i-1
-    for _ in range(k - spec.min_summary_order):
-        # A fresh single tree each time: _attach(a, []) returns a itself.
-        prev, cur = cur, spec.grow(_attach, [None], prev, cur)
-    del prev  # the tree of the order below, not needed for the sort
-    ids = range(n - 1, 0, -1) if family in _LEFTMOST_ATTACH else range(1, n)
-    return _grouped(cur, 0, ids)
+    parent = spec.build(k, _attach, [None], [])
+    return _grouped(parent, 0, range(n - 1, 0, -1) if spec.leftmost else range(1, n))
 
 
 def serialize(tree: RootedTree) -> str:
@@ -311,26 +309,27 @@ def serialize(tree: RootedTree) -> str:
 def parse(text: str) -> RootedTree:
     """Inverse of serialize, with line-numbered rejection of bad input.
 
-    A text in serialize's exact form is read and checked in bulk.  Every
-    other text, and every text the bulk checks reject, is read line by line
-    (_parse_lines), which alone raises ParseError, so each input gets the
-    same tree or the same error whichever way it is read.
+    A text in serialize's form, LF or CRLF, is read and checked in bulk.
+    Every other text, and every text the bulk checks reject, is read line
+    by line (_parse_lines), which alone raises ParseError, so each input
+    gets the same tree or the same error whichever way it is read.
     """
     tree = _parse_canonical(text)
     return _parse_lines(text) if tree is None else tree
 
 
-# serialize's exact form, [0-9]+\n(?:[0-9]+ [0-9]+\n)*, is checked as a
-# header line and then every LF followed by one edge line or by the end.
-# Matching the repeated group instead keeps backtracking state for every
-# line: some 20 MB on a 317,811-node text.
-_HEADER = r"[0-9]+\n"
-_BAD_LINE = r"\n(?![0-9]+ [0-9]+\n|\Z)"
+# serialize's exact form, [0-9]+\r?\n(?:[0-9]+ [0-9]+\r?\n)*, each line
+# ending in LF or CRLF, is checked as a header line and then every LF
+# followed by one edge line or by the end.  Matching the repeated group
+# instead keeps backtracking state for every line: some 20 MB on a
+# 317,811-node text.  json.loads reads a CR as whitespace.
+_HEADER = r"[0-9]+\r?\n"
+_BAD_LINE = r"\n(?![0-9]+ [0-9]+\r?\n|\Z)"
 
 
 def _parse_canonical(text: str):
-    """The tree a text in serialize's form describes, or None for a text in
-    any other form or one that is not a tree.
+    """The tree a text in serialize's form, LF or CRLF, describes, or None
+    for a text in any other form or one that is not a tree.
 
     The integers come from one json.loads, which rejects leading zeros and
     integers past the digit limit (None then).  Then, in bulk: n - 1 edges,

@@ -127,15 +127,18 @@ def test_sweep_max_order_past_cap_exits_2_at_once(capsys, command):
     assert rc == 2
     assert out == ""
     assert err == ("error: --max-order 1000000000 exceeds the cap of "
-                   f"{cli.MAX_LINEAR_ORDER} on the order of the O(k) "
-                   "recurrence and replay routes\n")
+                   f"{cli.MAX_SWEEP_ORDER} on the order of a verify or bench "
+                   "sweep\n")
 
 
 def test_order_caps_refuse_just_past_their_bounds(capsys, monkeypatch):
-    # The caps sit far above the benchmark's largest order, 12,000.  The
+    # The closed-form caps sit far above the benchmark's largest order,
+    # 12,000, and the sweep cap above its verify sweeps' (21).  The
     # evaluators are stubbed: only the orders at the caps are under test.
     monkeypatch.setattr(formulas, "wiener_binomial", lambda k: 0)
     monkeypatch.setattr(formulas, "wiener_fib", lambda k: 0)
+    monkeypatch.setattr(formulas, "wiener_fib_closed", lambda k: 0)
+    monkeypatch.setattr(compose, "replay_family", lambda family, k: SimpleNamespace(w=0))
     top = max(k for k in range(cli.MAX_RESULT_BITS // 2 - 32, cli.MAX_RESULT_BITS // 2)
               if 2 * k + k.bit_length() <= cli.MAX_RESULT_BITS)
     cases = [("binomial", "closed", top), ("fibonacci", "recurrence", cli.MAX_LINEAR_ORDER)]
@@ -144,6 +147,13 @@ def test_order_caps_refuse_just_past_their_bounds(capsys, monkeypatch):
         argv = ["closed-form", "--family", family, "--method", method, "--order"]
         assert run_cli(capsys, argv + [str(k)]) == (0, "0\n", "")
         rc, out, err = run_cli(capsys, argv + [str(k + 1)])
+        assert (rc, out) == (2, "") and "exceeds the cap" in err
+    assert cli.MAX_SWEEP_ORDER > 21
+    for command in ("verify", "bench"):
+        argv = [command, "--family", "fibonacci", "--node-budget", "0", "--max-order"]
+        rc, out, _ = run_cli(capsys, argv + [str(cli.MAX_SWEEP_ORDER)])
+        assert rc == 0 and out.count("\n") > cli.MAX_SWEEP_ORDER
+        rc, out, err = run_cli(capsys, argv + [str(cli.MAX_SWEEP_ORDER + 1)])
         assert (rc, out) == (2, "") and "exceeds the cap" in err
 
 

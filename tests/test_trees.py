@@ -4,9 +4,11 @@ import tracemalloc
 
 import pytest
 
+from treewiener.compose import replay_family
 from treewiener.errors import InvalidOrderError, ParseError, ResourceLimitError
 from treewiener.exact import fib
 from treewiener.trees import (
+    FamilySpec,
     RootedTree,
     TreeFamily,
     binary_fibonacci_tree,
@@ -134,6 +136,32 @@ def test_generate_matches_recursive_reference(family):
         assert tree.parent == parent, f"{family.value} k={k}"
         assert tree.children == children, f"{family.value} k={k}"
         k += 1
+
+
+@pytest.mark.parametrize("family", list(TreeFamily))
+def test_build_is_the_one_loop_behind_generate_and_replay(monkeypatch, family):
+    build, calls = FamilySpec.build, []
+
+    def counted(spec, k, *algebra):
+        calls.append(k)
+        return build(spec, k, *algebra)
+
+    monkeypatch.setattr(FamilySpec, "build", counted)
+    generate(family, 7)
+    assert calls == [7]
+    replay_family(family, 7)
+    assert calls == [7, 7]
+
+
+@pytest.mark.parametrize("family", list(TreeFamily))
+def test_children_leaves_share_one_empty_list(family):
+    k = 9
+    tree = generate(family, k)
+    _, children = reference_tree(family, k)
+    leaves = [kids for kids in tree.children if not kids]
+    assert len(leaves) == children.count([]) > 1
+    assert all(kids is leaves[0] for kids in leaves)
+    assert [kids or None for kids in tree.children] == [kids or None for kids in children]
 
 
 def test_node_budget_enforced():
