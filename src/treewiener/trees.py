@@ -309,27 +309,26 @@ def serialize(tree: RootedTree) -> str:
 def parse(text: str) -> RootedTree:
     """Inverse of serialize, with line-numbered rejection of bad input.
 
-    A text in serialize's form, LF or CRLF, is read and checked in bulk.
-    Every other text, and every text the bulk checks reject, is read line
-    by line (_parse_lines), which alone raises ParseError, so each input
-    gets the same tree or the same error whichever way it is read.
+    A text in serialize's exact form is read and checked in bulk.  Every
+    other text, and every text the bulk checks reject, is read line by line
+    (_parse_lines), which alone raises ParseError, so each input gets the
+    same tree or the same error whichever way it is read.
     """
     tree = _parse_canonical(text)
     return _parse_lines(text) if tree is None else tree
 
 
-# serialize's exact form, [0-9]+\r?\n(?:[0-9]+ [0-9]+\r?\n)*, each line
-# ending in LF or CRLF, is checked as a header line and then every LF
-# followed by one edge line or by the end.  Matching the repeated group
-# instead keeps backtracking state for every line: some 20 MB on a
-# 317,811-node text.  json.loads reads a CR as whitespace.
-_HEADER = r"[0-9]+\r?\n"
-_BAD_LINE = r"\n(?![0-9]+ [0-9]+\r?\n|\Z)"
+# serialize's exact form, [0-9]+\n(?:[0-9]+ [0-9]+\n)*, is checked as a
+# header line and then every LF followed by one edge line or by the end.
+# Matching the repeated group instead keeps backtracking state for every
+# line: some 20 MB on a 317,811-node text.
+_HEADER = r"[0-9]+\n"
+_BAD_LINE = r"\n(?![0-9]+ [0-9]+\n|\Z)"
 
 
 def _parse_canonical(text: str):
-    """The tree a text in serialize's form, LF or CRLF, describes, or None
-    for a text in any other form or one that is not a tree.
+    """The tree a text in serialize's form describes, or None for a text in
+    any other form or one that is not a tree.
 
     The integers come from one json.loads, which rejects leading zeros and
     integers past the digit limit (None then).  Then, in bulk: n - 1 edges,

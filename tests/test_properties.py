@@ -125,9 +125,8 @@ def render(n, edges, layout, rng) -> str:
 def test_parse_matches_per_line_reader(case, layout, rng):
     n, edges = case
     text = render(n, edges, layout, rng)
-    # The bulk path reads exactly the texts in serialize's form, LF or CRLF.
-    assert (_parse_canonical(text) is not None) == (
-        text.replace("\r\n", "\n") == plain(n, edges))
+    # The bulk path reads exactly the texts in serialize's form.
+    assert (_parse_canonical(text) is not None) == (text == plain(n, edges))
     ref = _parse_lines(text)
     assert all(ref.parent[c] == p for p, c in edges)
     got = parse(text)
@@ -179,10 +178,10 @@ def test_parse_rejects_like_per_line_reader(case, mutation, data):
         q = data.draw(st.sampled_from([u for u in range(n) if u not in (c2, p2)]),
                       label="second parent")
         edges[i] = (q, c2)
-    for text in (plain(n, edges), plain(n, edges).replace("\n", "\r\n")):
-        assert _parse_canonical(text) is None
-        with pytest.raises(ParseError) as ref:
-            _parse_lines(text)
-        with pytest.raises(ParseError) as got:
-            parse(text)
-        assert (got.value.line, got.value.reason) == (ref.value.line, ref.value.reason)
+    text = plain(n, edges)
+    assert _parse_canonical(text) is None
+    with pytest.raises(ParseError) as ref:
+        _parse_lines(text)
+    with pytest.raises(ParseError) as got:
+        parse(text)
+    assert (got.value.line, got.value.reason) == (ref.value.line, ref.value.reason)

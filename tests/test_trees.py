@@ -135,6 +135,8 @@ def test_generate_matches_recursive_reference(family):
         tree = generate(family, k)
         assert tree.parent == parent, f"{family.value} k={k}"
         assert tree.children == children, f"{family.value} k={k}"
+        leaves = [kids for kids in tree.children if not kids]
+        assert all(kids is leaves[0] for kids in leaves), "one shared leaf list"
         k += 1
 
 
@@ -151,17 +153,6 @@ def test_build_is_the_one_loop_behind_generate_and_replay(monkeypatch, family):
     assert calls == [7]
     replay_family(family, 7)
     assert calls == [7, 7]
-
-
-@pytest.mark.parametrize("family", list(TreeFamily))
-def test_children_leaves_share_one_empty_list(family):
-    k = 9
-    tree = generate(family, k)
-    _, children = reference_tree(family, k)
-    leaves = [kids for kids in tree.children if not kids]
-    assert len(leaves) == children.count([]) > 1
-    assert all(kids is leaves[0] for kids in leaves)
-    assert [kids or None for kids in tree.children] == [kids or None for kids in children]
 
 
 def test_node_budget_enforced():
