@@ -24,7 +24,7 @@ import re
 from collections import deque
 from enum import Enum
 from itertools import count, groupby, islice
-from operator import countOf, lt
+from operator import countOf, le, lt
 from typing import Callable, NamedTuple
 
 from treewiener import formulas
@@ -298,12 +298,18 @@ def generate(family: TreeFamily, k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -
 def serialize(tree: RootedTree) -> str:
     """Edge-list text: first line is the node count n, then n-1 lines
     "parent child"; a node's child edges appear in child order, LF endings.
-    One format operation over the flat arrays."""
-    kids = tree.kids
-    pairs = [0] * (2 * len(kids))
-    pairs[::2] = map(tree.parent.__getitem__, kids)
-    pairs[1::2] = kids
-    return f"{tree.n}\n" + "%d %d\n" * len(kids) % tuple(pairs)
+    The edge lines are rendered _SERIALIZE_SLICE at a time, each piece by
+    one format operation, and one join assembles the text, so no temporary
+    but the text itself grows with the tree."""
+    kids, parent = tree.kids, tree.parent
+    pieces = [f"{tree.n}\n"]
+    for i in range(0, len(kids), _SERIALIZE_SLICE):
+        piece = kids[i:i + _SERIALIZE_SLICE]
+        pairs = [0] * (2 * len(piece))
+        pairs[::2] = map(parent.__getitem__, piece)
+        pairs[1::2] = piece
+        pieces.append("%d %d\n" * len(piece) % tuple(pairs))
+    return "".join(pieces)
 
 
 def parse(text: str) -> RootedTree:
@@ -325,38 +331,71 @@ def parse(text: str) -> RootedTree:
 _HEADER = r"[0-9]+\n"
 _BAD_LINE = r"\n(?![0-9]+ [0-9]+\n|\Z)"
 
+# Edge lines per format operation in serialize, and characters, rounded up
+# to the end of a line, per json.loads in _parse_canonical: large enough
+# that the cost per slice vanishes, small enough that a slice's temporaries
+# are a small part of a 3e5-node tree.
+_SERIALIZE_SLICE = 4096
+_PARSE_SLICE = 1 << 17
+
 
 def _parse_canonical(text: str):
     """The tree a text in serialize's form describes, or None for a text in
     any other form or one that is not a tree.
 
-    The integers come from one json.loads, which rejects leading zeros and
-    integers past the digit limit (None then).  Then, in bulk: n - 1 edges,
-    counted before anything is sized by n; every id below n; one node
-    without a parent after the child ids are scattered into parent[], so
-    no child is repeated; and either every parent id below its child's, or
-    a walk from the root that reaches all n nodes, so there is no cycle
-    (the tree's bottom_up, which keeps the answer for wiener_linear).
+    The header n comes from json.loads, which rejects leading zeros and
+    integers past the digit limit (None then), and the text must hold
+    exactly n LFs, n - 1 edge lines, before anything is sized by n.  The
+    edge lines are then read _PARSE_SLICE characters of whole lines at a
+    time, each slice by one json.loads, with every id checked below n and
+    the child ids scattered into parent[] and kids.  Then, in bulk: one
+    node without a parent, so no child is repeated; and either every parent
+    id below its child's, or a walk from the root that reaches all n nodes,
+    so there is no cycle (the tree's bottom_up, which keeps the answer for
+    wiener_linear).  When the parent ids never fall from line to line, as
+    in every text serialize writes, the line order already groups kids and
+    the sort is skipped.
     """
     if re.match(_HEADER, text) is None or re.search(_BAD_LINE, text):
         return None
     # Imported here: only parse needs json, and importing it at start-up
     # would cost every other command.
     import json
+    start = text.index("\n") + 1
     try:
-        nums = json.loads("[" + text[:-1].replace(" ", ",").replace("\n", ",") + "]")
+        n = json.loads(text[:start - 1])
     except ValueError:
         return None
-    n = nums[0]
-    if len(nums) != 2 * n - 1 or max(islice(nums, 1, None), default=0) >= n:
+    if text.count("\n") != n:
         return None
     parent = [None] * n
-    kids = nums[2::2]
-    deque(map(parent.__setitem__, kids, islice(nums, 1, None, 2)), 0)
-    del nums
+    kids = [0] * (n - 1)
+    done = 0  # edge lines read
+    last = 0  # the last parent id read, or None once one fell
+    final = len(text) - 1  # the last LF
+    while start < len(text):
+        end = text.find("\n", min(start + _PARSE_SLICE - 1, final)) + 1
+        try:
+            nums = json.loads("[" + text[start:end - 1].replace(" ", ",").replace("\n", ",") + "]")
+        except ValueError:
+            return None
+        if max(nums) >= n:
+            return None
+        lines = len(nums) // 2
+        deque(map(parent.__setitem__, islice(nums, 1, None, 2), islice(nums, 0, None, 2)), 0)
+        kids[done:done + lines] = nums[1::2]
+        done += lines
+        if last is not None and last <= nums[0] and all(
+                map(le, islice(nums, 0, None, 2), islice(nums, 2, None, 2))):
+            last = nums[-2]
+        else:
+            last = None
+        del nums
+        start = end
     if parent.count(None) != 1:
         return None
-    tree = _grouped(parent, parent.index(None), kids)
+    root = parent.index(None)
+    tree = RootedTree(n, root, parent, kids) if last is not None else _grouped(parent, root, kids)
     if len(tree.bottom_up()) != n - 1:
         return None
     return tree

@@ -13,12 +13,13 @@
 
 import contextlib
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treewiener import cli
+from treewiener import cli, trees
 from treewiener.compose import SINGLE, identify, join
 from treewiener.errors import ParseError
 from treewiener.oracle import distance_sum, wiener_linear
@@ -119,17 +120,30 @@ def render(n, edges, layout, rng) -> str:
     return eol.join(lines) + ("" if "no final LF" in layout else eol)
 
 
+# The bulk path's slice size: None keeps the default, which reads these
+# texts in one slice; 1 to 18 characters, rounded up to whole lines, cut
+# them into slices of one to a few lines.
+PARSE_SLICES = st.one_of(st.none(), st.integers(1, 18))
+
+
+def parse_slices(chars):
+    if chars is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(trees, "_PARSE_SLICE", chars)
+
+
 @settings(deadline=None, max_examples=300)
 @given(edge_lists(40), st.sets(st.sampled_from(LAYOUTS)),
-       st.randoms(use_true_random=False))
-def test_parse_matches_per_line_reader(case, layout, rng):
+       st.randoms(use_true_random=False), PARSE_SLICES)
+def test_parse_matches_per_line_reader(case, layout, rng, chars):
     n, edges = case
     text = render(n, edges, layout, rng)
-    # The bulk path reads exactly the texts in serialize's form.
-    assert (_parse_canonical(text) is not None) == (text == plain(n, edges))
+    with parse_slices(chars):
+        # The bulk path reads exactly the texts in serialize's form.
+        assert (_parse_canonical(text) is not None) == (text == plain(n, edges))
+        got = parse(text)
     ref = _parse_lines(text)
     assert all(ref.parent[c] == p for p, c in edges)
-    got = parse(text)
     assert (got.n, got.root, got.parent, got.kids, got.children) == (
         ref.n, ref.root, ref.parent, ref.kids, ref.children)
 
@@ -151,8 +165,8 @@ MUTATIONS = ("duplicate line", "out-of-range id", "self-loop", "cycle",
 
 
 @settings(deadline=None, max_examples=300)
-@given(edge_lists(40, min_n=3), st.sampled_from(MUTATIONS), st.data())
-def test_parse_rejects_like_per_line_reader(case, mutation, data):
+@given(edge_lists(40, min_n=3), st.sampled_from(MUTATIONS), st.data(), PARSE_SLICES)
+def test_parse_rejects_like_per_line_reader(case, mutation, data, chars):
     n, edges = case
     i = data.draw(st.integers(0, len(edges) - 1), label="line")
     p, c = edges[i]
@@ -179,9 +193,10 @@ def test_parse_rejects_like_per_line_reader(case, mutation, data):
                       label="second parent")
         edges[i] = (q, c2)
     text = plain(n, edges)
-    assert _parse_canonical(text) is None
     with pytest.raises(ParseError) as ref:
         _parse_lines(text)
-    with pytest.raises(ParseError) as got:
-        parse(text)
+    with parse_slices(chars):
+        assert _parse_canonical(text) is None
+        with pytest.raises(ParseError) as got:
+            parse(text)
     assert (got.value.line, got.value.reason) == (ref.value.line, ref.value.reason)
