@@ -37,6 +37,7 @@ from treewiener.formulas import (
 from treewiener.oracle import distance_sum, wiener_bfs, wiener_linear
 from treewiener.trees import (
     DEFAULT_NODE_BUDGET,
+    ROOT_PARENT,
     RootedTree,
     TreeFamily,
     binary_fibonacci_tree,
@@ -57,6 +58,7 @@ __all__ = [
     "NotDivisibleError",
     "ParseError",
     "ResourceLimitError",
+    "ROOT_PARENT",
     "RootedTree",
     "SINGLE",
     "TreeFamily",

@@ -195,7 +195,7 @@ def cmd_compute(args) -> int:
     # A byte outside ASCII becomes a lone surrogate, which parse rejects
     # with its line number.
     with open(args.input, "r", encoding="ascii", errors="surrogateescape") as fh:
-        tree = parse(fh.read())
+        tree = parse(fh.read(), max_nodes=args.max_nodes)
     if args.algo == "bfs" and tree.n > MAX_BFS_NODES:
         raise TreeWienerError(
             f"tree of {tree.n} nodes exceeds the cap of {MAX_BFS_NODES} nodes "
@@ -290,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="Wiener index of an edge-list file")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--algo", choices=["bfs", "linear"], default="linear")
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify", help="cross-validate formulas against oracles")

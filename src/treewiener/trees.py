@@ -14,17 +14,21 @@ All three families are ordered trees built by a recursive composition rule:
 Each rule is written once, as the family's FamilySpec.grow, over a join,
 a single tree and an empty tree that the caller supplies, and one loop,
 FamilySpec.build, runs it order by order, never recursively.  generate
-builds parent lists joined by concatenation, so order is limited only by
-the node budget, not call depth; one stable sort of the ids by parent, in
-the order the spec's leftmost flag gives, then yields the flat child array.
-compose.replay_family builds (n, W, D) summaries with the same loop.
+builds typed arrays of parent ids and grouped children, joined by
+concatenation, so order is limited only by the node budget, not call
+depth, and each join puts the new child where the spec's leftmost flag
+says, so no sort is needed.  compose.replay_family builds (n, W, D)
+summaries with the same loop.
 """
 
 import re
+import sys
+from array import array
 from collections import deque
 from enum import Enum
-from itertools import count, groupby, islice
-from operator import countOf, le, lt
+from functools import partial
+from itertools import count, groupby, islice, repeat
+from operator import countOf, itemgetter, le, lt, setitem
 from typing import Callable, NamedTuple
 
 from treewiener import formulas
@@ -38,6 +42,11 @@ from treewiener.exact import fib, pow2
 # Materialization cap for generators; the closed forms exist precisely so
 # trees this large never need to be built except for verification.
 DEFAULT_NODE_BUDGET = 1 << 22
+# Node ids are stored as C ints (array type code 'i'), so no tree has more
+# nodes than this, whatever budget a caller gives.
+MAX_TREE_NODES = (1 << 31) - 1
+# parent[root]: every other entry is a node id, 0 or more.
+ROOT_PARENT = -1
 
 
 class TreeFamily(Enum):
@@ -51,17 +60,20 @@ class TreeFamily(Enum):
 
 
 class RootedTree:
-    """Immutable ordered rooted tree with dense node ids 0..n-1, kept flat.
+    """Immutable ordered rooted tree with dense node ids 0..n-1, kept flat
+    in two typed arrays of C ints (array type code 'i').
 
-    parent[v] is the parent id, or None for the root.  kids is the one flat
-    child array of a compressed sparse row layout (Saad, Iterative Methods
-    for Sparse Linear Systems, section 3.4): every non-root node once,
-    grouped by parent in increasing parent id, each group listing its
-    parent's children left to right, which is the order of serialize's
-    edge lines.  A group ends where parent[kids[i]] changes, so no array of
-    group starts is kept, and no list per node unless children is read.
-    The empty tree (n = 0) is representable, has no root, and arises only
-    as the order-0 binary Fibonacci tree.
+    parent[v] is v's parent id, or ROOT_PARENT (-1) for the root.  kids is
+    the one flat child array of a compressed sparse row layout (Saad,
+    Iterative Methods for Sparse Linear Systems, section 3.4): every
+    non-root node once, grouped by parent in increasing parent id, each
+    group listing its parent's children left to right, which is the order
+    of serialize's edge lines.  A group ends where parent[kids[i]] changes,
+    so no array of group starts is kept, and no list per node unless
+    children is read.  An id costs 4 bytes in each array, where a list of
+    ints costs a pointer and an int object.  The empty tree (n = 0) is
+    representable, has no root, and arises only as the order-0 binary
+    Fibonacci tree.
     """
 
     __slots__ = ("n", "root", "parent", "kids", "_children", "_bottom_up")
@@ -76,54 +88,56 @@ class RootedTree:
 
     @classmethod
     def empty(cls) -> "RootedTree":
-        return cls(0, None, [], [])
+        return cls(0, None, array("i"), array("i"))
 
     @classmethod
     def single(cls) -> "RootedTree":
-        return cls(1, 0, [None], [])
+        return cls(1, 0, array("i", [ROOT_PARENT]), array("i"))
 
     @classmethod
-    def from_parents(cls, parents: list) -> "RootedTree":
-        """Build from a parent list (None marks the root); children are
-        ordered by child id.  Validates tree-ness."""
+    def from_parents(cls, parents) -> "RootedTree":
+        """Build from a sequence of parent ids, in which None or ROOT_PARENT
+        marks the root; children are ordered by child id.  Validates
+        tree-ness."""
         n = len(parents)
         if n == 0:
             return cls.empty()
-        roots = parents.count(None)
+        parent = [ROOT_PARENT if p is None else p for p in parents]
+        roots = parent.count(ROOT_PARENT)
         if roots != 1:
             raise ValueError(f"expected exactly one root, found {roots}")
-        for v, p in enumerate(parents):
-            if p is not None and not 0 <= p < n:
+        for v, p in enumerate(parent):
+            if p != ROOT_PARENT and not 0 <= p < n:
                 raise ValueError(f"parent id {p} of node {v} out of range")
-        parent = list(parents)
-        root = parent.index(None)
-        tree = _grouped(parent, root, (v for v in range(n) if v != root))
+        root = parent.index(ROOT_PARENT)
+        tree = _grouped(array("i", parent), root, (v for v in range(n) if v != root))
         if len(tree.bottom_up()) != n - 1:
             raise ValueError("parent list does not describe a connected tree")
         return tree
 
     @property
     def children(self) -> list:
-        """children[v] lists v's children left to right: a slice of kids per
-        parent, and one empty list that every leaf shares.  Built on first
-        use and kept; read it, do not change it."""
+        """children[v] lists v's children left to right: a list per parent,
+        copied from its group in kids, and one empty list that every leaf
+        shares.  Built on first use and kept; read it, do not change it."""
         if self._children is None:
             kids = self.kids
             lists = self._children = [[]] * self.n
             i = 0
             for p, group in groupby(map(self.parent.__getitem__, kids)):
                 j = i + countOf(group, p)
-                lists[p] = kids[i:j]
+                lists[p] = kids[i:j].tolist()
                 i = j
         return self._children
 
     def bottom_up(self):
         """The non-root nodes, each before its parent: all n - 1 of them
-        exactly when the parent list is a tree.  When every parent id is
-        smaller than its child's, as in every generated tree and every file
-        generate writes, that is the ids counting down; otherwise it is a
-        walk from the root by child links, reversed.  Worked out on first
-        use and kept, so the check that parse makes serves wiener_linear."""
+        exactly when the parent ids describe a tree.  When every parent id
+        is smaller than its child's, as in every generated tree and every
+        file generate writes, that is the ids counting down, a range;
+        otherwise it is a walk from the root by child links, reversed.
+        Worked out on first use and kept, so the check that parse makes
+        serves wiener_linear."""
         if self._bottom_up is None:
             if _parents_first(self.parent):
                 self._bottom_up = range(self.n - 1, 0, -1)
@@ -139,7 +153,7 @@ class RootedTree:
         return self._bottom_up
 
     def degree(self, v: int) -> int:
-        return len(self.children[v]) + (0 if self.parent[v] is None else 1)
+        return len(self.children[v]) + (self.parent[v] != ROOT_PARENT)
 
     def __len__(self) -> int:
         return self.n
@@ -148,16 +162,26 @@ class RootedTree:
         return f"RootedTree(n={self.n}, root={self.root})"
 
 
-def _grouped(parent: list, root, order) -> RootedTree:
+def _grouped(parent: array, root, order) -> RootedTree:
     """The tree on parent, with kids grouped by parent and, within a group,
     in the order `order` lists them (one stable sort)."""
-    return RootedTree(len(parent), root, parent, sorted(order, key=parent.__getitem__))
+    return RootedTree(len(parent), root, parent,
+                      array("i", sorted(order, key=parent.__getitem__)))
 
 
-def _parents_first(parent: list) -> bool:
+def _parents_first(parent: array) -> bool:
     """Whether node 0 is the root and every other node's parent has a
     smaller id; then no parent chain can close a cycle."""
-    return parent[:1] == [None] and all(map(lt, islice(parent, 1, None), count(1)))
+    return (len(parent) > 0 and parent[0] == ROOT_PARENT
+            and all(map(lt, islice(parent, 1, None), count(1))))
+
+
+def _check_nodes(n: int, max_nodes) -> None:
+    """Refuse a tree of n nodes past max_nodes (None: no budget) or past
+    the ids an 'i' array holds."""
+    limit = MAX_TREE_NODES if max_nodes is None else min(max_nodes, MAX_TREE_NODES)
+    if n > limit:
+        raise ResourceLimitError(n, limit)
 
 
 def node_count(family: TreeFamily, k: int) -> int:
@@ -170,17 +194,41 @@ def node_count(family: TreeFamily, k: int) -> int:
     return spec.nodes(k)
 
 
-def _attach(parent: list, sub: list) -> list:
-    """parent and sub as one parent list: sub's ids are shifted past
-    parent's, and sub's root, its id 0, becomes a child of node 0.  An
-    empty sub adds nothing.  Neither argument is changed, so one single
-    tree [None] serves every order of a build."""
-    if not sub:
-        return parent
-    off = len(parent)
-    out = parent + [0]
-    out += [p + off for p in islice(sub, 1, None)]
+# A 1 in one lane of an 'i' array, in this machine's byte order.
+_ONE = array("i", [1]).tobytes()
+
+
+def _shifted(ids, off: int) -> array:
+    """The 'i' array of ids[i] + off, by one big-integer addition over the
+    packed lanes: ids read as one integer, plus off times a 1 in every
+    lane.  Exact while every id and every sum is in [0, 2**31): no lane
+    then carries into the next, and each reads back as the same C int."""
+    order = sys.byteorder
+    packed = int.from_bytes(ids, order) + off * int.from_bytes(_ONE * len(ids), order)
+    out = array("i")
+    out.frombytes(packed.to_bytes(len(ids) * out.itemsize, order))
     return out
+
+
+def _attach(leftmost: bool, tree, sub):
+    """tree and sub, each (parent, kids, root degree), as one: sub's ids
+    are shifted past tree's, and sub's root, its id 0, becomes node 0's
+    first child when leftmost, else its last.  Node 0's group leads kids,
+    so the new child goes in at the start or the end of it; tree's other
+    groups follow, then sub's, shifted, whose parent ids are now the
+    largest, so kids stays grouped without a sort.  An empty sub (None)
+    adds nothing.  Neither argument is changed, so one single tree serves
+    every order of a build."""
+    if sub is None:
+        return tree
+    parent, kids, degree = tree
+    sub_parent, sub_kids, _ = sub
+    off = len(parent)
+    out_parent = parent + array("i", [0])
+    out_parent += _shifted(sub_parent[1:], off)
+    out_kids = kids + _shifted(sub_kids, off)
+    out_kids.insert(0 if leftmost else degree, off)
+    return out_parent, out_kids, degree + 1
 
 
 def binomial_tree(k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedTree:
@@ -233,8 +281,8 @@ class FamilySpec(NamedTuple):
         """The order-k tree, for k >= min_summary_order, in the algebra of
         join, single and empty: single at min_summary_order, empty one order
         below, and grow once per order above, never recursively.  The one
-        loop that runs grow: generate runs it on parent lists and
-        compose.replay_family on (n, W, D) summaries."""
+        loop that runs grow: generate runs it on (parent, kids, root
+        degree) arrays and compose.replay_family on (n, W, D) summaries."""
         prev, cur = empty, single  # orders i-2 and i-1
         for _ in range(k - self.min_summary_order):
             prev, cur = cur, self.grow(join, single, prev, cur)
@@ -282,46 +330,54 @@ _SPECS = {
 def generate(family: TreeFamily, k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedTree:
     """The order-k tree of a family, root id 0, once the node budget
     allows it: the empty tree below min_summary_order, else spec.build on
-    parent lists with _attach as join.  Each join appends the new child's
-    ids, so a leftmost family's children run in decreasing id and the
-    others' in increasing id."""
+    (parent, kids, root degree) arrays with _attach as join.  Each join
+    appends the new child's ids and puts it first among the root's
+    children (leftmost) or last, so a leftmost family's children run in
+    decreasing id and the others' in increasing id, kids comes out grouped
+    with no sort, and every parent id is below its child's."""
     n = node_count(family, k)
-    if n > max_nodes:
-        raise ResourceLimitError(n, max_nodes)
+    _check_nodes(n, max_nodes)
     spec = family.spec
     if k < spec.min_summary_order:
         return RootedTree.empty()
-    parent = spec.build(k, _attach, [None], [])
-    return _grouped(parent, 0, range(n - 1, 0, -1) if spec.leftmost else range(1, n))
+    single = (array("i", [ROOT_PARENT]), array("i"), 0)
+    parent, kids, _ = spec.build(k, partial(_attach, spec.leftmost), single, None)
+    return RootedTree(n, 0, parent, kids)
 
 
 def serialize(tree: RootedTree) -> str:
     """Edge-list text: first line is the node count n, then n-1 lines
     "parent child"; a node's child edges appear in child order, LF endings.
     The edge lines are rendered _SERIALIZE_SLICE at a time, each piece by
-    one format operation, and one join assembles the text, so no temporary
-    but the text itself grows with the tree."""
+    one format operation over that slice of kids, read as a list, and its
+    parent ids, read by one itemgetter call, and one join assembles the
+    text, so no temporary but the text itself grows with the tree."""
     kids, parent = tree.kids, tree.parent
     pieces = [f"{tree.n}\n"]
     for i in range(0, len(kids), _SERIALIZE_SLICE):
-        piece = kids[i:i + _SERIALIZE_SLICE]
+        piece = kids[i:i + _SERIALIZE_SLICE].tolist()
         pairs = [0] * (2 * len(piece))
-        pairs[::2] = map(parent.__getitem__, piece)
+        # itemgetter of one index returns the item, not a 1-tuple.
+        ups = itemgetter(*piece)(parent)
+        pairs[::2] = ups if len(piece) > 1 else (ups,)
         pairs[1::2] = piece
         pieces.append("%d %d\n" * len(piece) % tuple(pairs))
     return "".join(pieces)
 
 
-def parse(text: str) -> RootedTree:
+def parse(text: str, max_nodes: int | None = None) -> RootedTree:
     """Inverse of serialize, with line-numbered rejection of bad input.
 
     A text in serialize's exact form is read and checked in bulk.  Every
     other text, and every text the bulk checks reject, is read line by line
     (_parse_lines), which alone raises ParseError, so each input gets the
-    same tree or the same error whichever way it is read.
+    same tree or the same error whichever way it is read.  A header n past
+    max_nodes, when given, is refused with ResourceLimitError before
+    anything is sized by it.  So is one past MAX_TREE_NODES, the most nodes
+    'i' ids can number, once the text has as many lines as it claims.
     """
-    tree = _parse_canonical(text)
-    return _parse_lines(text) if tree is None else tree
+    tree = _parse_canonical(text, max_nodes)
+    return _parse_lines(text, max_nodes) if tree is None else tree
 
 
 # serialize's exact form, [0-9]+\n(?:[0-9]+ [0-9]+\n)*, is checked as a
@@ -339,19 +395,20 @@ _SERIALIZE_SLICE = 4096
 _PARSE_SLICE = 1 << 17
 
 
-def _parse_canonical(text: str):
+def _parse_canonical(text: str, max_nodes: int | None = None):
     """The tree a text in serialize's form describes, or None for a text in
     any other form or one that is not a tree.
 
     The header n comes from json.loads, which rejects leading zeros and
     integers past the digit limit (None then), and the text must hold
-    exactly n LFs, n - 1 edge lines, before anything is sized by n.  The
-    edge lines are then read _PARSE_SLICE characters of whole lines at a
-    time, each slice by one json.loads, with every id checked below n and
-    the child ids scattered into parent[] and kids.  Then, in bulk: one
-    node without a parent, so no child is repeated; and either every parent
-    id below its child's, or a walk from the root that reaches all n nodes,
-    so there is no cycle (the tree's bottom_up, which keeps the answer for
+    exactly n LFs, n - 1 edge lines, and n must pass _check_nodes, before
+    anything is sized by n.  The edge lines are then read _PARSE_SLICE
+    characters of whole lines at a time, each slice by one json.loads, with
+    every id checked below n, the parent ids scattered into parent[] at
+    the child ids, which are appended to kids.  Then, in bulk: one node
+    without a parent, so no child is repeated; and either every parent id
+    below its child's, or a walk from the root that reaches all n nodes, so
+    there is no cycle (the tree's bottom_up, which keeps the answer for
     wiener_linear).  When the parent ids never fall from line to line, as
     in every text serialize writes, the line order already groups kids and
     the sort is skipped.
@@ -368,9 +425,9 @@ def _parse_canonical(text: str):
         return None
     if text.count("\n") != n:
         return None
-    parent = [None] * n
-    kids = [0] * (n - 1)
-    done = 0  # edge lines read
+    _check_nodes(n, max_nodes)
+    parent = array("i", [ROOT_PARENT]) * n
+    kids = array("i")
     last = 0  # the last parent id read, or None once one fell
     final = len(text) - 1  # the last LF
     while start < len(text):
@@ -381,27 +438,28 @@ def _parse_canonical(text: str):
             return None
         if max(nums) >= n:
             return None
-        lines = len(nums) // 2
-        deque(map(parent.__setitem__, islice(nums, 1, None, 2), islice(nums, 0, None, 2)), 0)
-        kids[done:done + lines] = nums[1::2]
-        done += lines
+        children = nums[1::2]
+        # setitem through map, not the bound parent.__setitem__, skips a
+        # method wrapper per line.
+        deque(map(setitem, repeat(parent), children, islice(nums, 0, None, 2)), 0)
+        kids.fromlist(children)
         if last is not None and last <= nums[0] and all(
                 map(le, islice(nums, 0, None, 2), islice(nums, 2, None, 2))):
             last = nums[-2]
         else:
             last = None
-        del nums
+        del nums, children
         start = end
-    if parent.count(None) != 1:
+    if parent.count(ROOT_PARENT) != 1:
         return None
-    root = parent.index(None)
+    root = parent.index(ROOT_PARENT)
     tree = RootedTree(n, root, parent, kids) if last is not None else _grouped(parent, root, kids)
     if len(tree.bottom_up()) != n - 1:
         return None
     return tree
 
 
-def _parse_lines(text: str) -> RootedTree:
+def _parse_lines(text: str, max_nodes: int | None = None) -> RootedTree:
     """parse, one line at a time, for any text: the reference the bulk path
     must agree with, and the only source of ParseError.
 
@@ -409,7 +467,9 @@ def _parse_lines(text: str) -> RootedTree:
     character among VT, FF and 0x1c-0x1f, or a character outside ASCII.
     Detected per line: malformed tokens, ids out of range, duplicate edges,
     second parents, cycles.  Detected at end of input: wrong edge count
-    (disconnection / multiple roots).
+    (disconnection / multiple roots).  A header past max_nodes, when given,
+    is refused as soon as it is read, before the line count; one past
+    MAX_TREE_NODES only after it, as no text short of 2**31 lines has one.
     """
     # int() also reads signs, underscores and the digits of other scripts,
     # and str.split() and str.splitlines() take the control characters for
@@ -429,6 +489,8 @@ def _parse_lines(text: str) -> RootedTree:
         n = int(lines[0].strip())
     except ValueError:
         raise ParseError(1, f"node count is not an integer: {lines[0].strip()!r}") from None
+    if max_nodes is not None:
+        _check_nodes(n, max_nodes)
     if n == 0:
         for i, line in enumerate(lines[1:], start=2):
             if line.strip():
@@ -441,8 +503,9 @@ def _parse_lines(text: str) -> RootedTree:
             len(lines),
             f"tree on {n} nodes needs {n - 1} edges, more lines than the input has",
         )
+    _check_nodes(n, None)
 
-    parent = [None] * n
+    parent = array("i", [ROOT_PARENT]) * n
     kids = []  # in line order, grouped by parent at the end
     # Union-find over node ids for immediate cycle detection.
     uf = list(range(n))
@@ -474,7 +537,7 @@ def _parse_lines(text: str) -> RootedTree:
             raise ParseError(lineno, f"duplicate edge {p} {c}")
         if p == c:
             raise ParseError(lineno, f"self-loop at node {p}")
-        if parent[c] is not None:
+        if parent[c] != ROOT_PARENT:
             raise ParseError(lineno, f"node {c} already has a parent")
         # c has no parent yet, so it tops its component and is its own
         # representative: the edge closes a cycle exactly when p is below c.
@@ -493,4 +556,4 @@ def _parse_lines(text: str) -> RootedTree:
             + (" (disconnected or multiple roots)" if edges < n - 1 else ""),
         )
     # n-1 edges, no cycle, unique parents: exactly one root remains.
-    return _grouped(parent, parent.index(None), kids)
+    return _grouped(parent, parent.index(ROOT_PARENT), kids)

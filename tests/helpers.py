@@ -6,7 +6,7 @@ import dis
 import random
 import sys
 
-from treewiener.trees import RootedTree, TreeFamily
+from treewiener.trees import ROOT_PARENT, RootedTree, TreeFamily
 
 
 def random_tree(rng: random.Random, n: int) -> RootedTree:
@@ -31,7 +31,7 @@ def relabel(rng: random.Random, tree: RootedTree) -> RootedTree:
     rng.shuffle(perm)
     parents = [None] * tree.n
     for v, p in enumerate(tree.parent):
-        parents[perm[v]] = None if p is None else perm[p]
+        parents[perm[v]] = None if p == ROOT_PARENT else perm[p]
     return RootedTree.from_parents(parents)
 
 
@@ -67,10 +67,11 @@ def binary_fibonacci_shape(k: int):
 
 
 def reference_tree(family: TreeFamily, k: int) -> tuple:
-    """(parent, children) of the order-k tree, labelled as the generators
-    document: ids in preorder, except that a binomial tree numbers each
-    node's subtrees right to left, since each order's new leftmost subtree
-    takes the ids after the previous tree's."""
+    """(parent, children) of the order-k tree as lists, the root's parent
+    ROOT_PARENT, labelled as the generators document: ids in preorder,
+    except that a binomial tree numbers each node's subtrees right to left,
+    since each order's new leftmost subtree takes the ids after the
+    previous tree's."""
     shape = {TreeFamily.BINOMIAL: binomial_shape,
              TreeFamily.FIBONACCI: fibonacci_shape,
              TreeFamily.BINARY_FIBONACCI: binary_fibonacci_shape}[family](k)
@@ -86,7 +87,7 @@ def reference_tree(family: TreeFamily, k: int) -> tuple:
         return v
 
     if shape is not None:
-        visit(shape, None)
+        visit(shape, ROOT_PARENT)
     return parent, children
 
 
@@ -95,7 +96,7 @@ def adjacency(tree: RootedTree) -> list:
     adj = [list(tree.children[u]) for u in range(tree.n)]
     for u in range(tree.n):
         p = tree.parent[u]
-        if p is not None:
+        if p != ROOT_PARENT:
             adj[u].append(p)
     return adj
 

@@ -21,6 +21,7 @@ from treewiener.formulas import (
 )
 from treewiener.oracle import distance_sum, wiener_bfs, wiener_linear
 from treewiener.trees import (
+    ROOT_PARENT,
     TreeFamily,
     binary_fibonacci_tree,
     binomial_tree,
@@ -44,13 +45,15 @@ def criterion(num: int, title: str):
 
 def climb_distance(tree, u: int, v: int) -> int:
     """Pair distance by walking parent pointers only; independent of the
-    BFS oracle it is used to double-check."""
+    BFS oracle it is used to double-check.  Every walk takes at most n
+    steps, so parent ids that never reach the root fail the test instead
+    of looping."""
     def depth(x):
-        d = 0
-        while tree.parent[x] is not None:
+        for d in range(tree.n):
+            if tree.parent[x] == ROOT_PARENT:
+                return d
             x = tree.parent[x]
-            d += 1
-        return d
+        raise AssertionError(f"no root within {tree.n} steps up")
 
     du, dv = depth(u), depth(v)
     dist = 0
@@ -59,7 +62,8 @@ def climb_distance(tree, u: int, v: int) -> int:
     while dv > du:
         v, dv, dist = tree.parent[v], dv - 1, dist + 1
     while u != v:
-        u, v, dist = tree.parent[u], tree.parent[v], dist + 2
+        assert du > 0, "the two climbs end at different roots"
+        u, v, du, dist = tree.parent[u], tree.parent[v], du - 1, dist + 2
     return dist
 
 

@@ -340,6 +340,27 @@ def test_compute_non_ascii_byte_exits_2(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_compute_header_past_max_nodes_exits_2(tmp_path, capsys):
+    # A two-line file whose header claims one node past the budget: refused
+    # from the header, with the budget in the message, before any array is
+    # sized by it (exit 2, not a ParseError about the line count).
+    f = tmp_path / "big.tree"
+    big = trees.DEFAULT_NODE_BUDGET + 1
+    f.write_text(f"{big}\n0 1\n")
+    assert run_cli(capsys, ["compute", "--in", str(f)]) == (
+        2, "", f"error: tree requires {big} nodes, exceeding the budget of "
+               f"{trees.DEFAULT_NODE_BUDGET}\n")
+    f.write_text("2\n0 1\n")
+    assert run_cli(capsys, ["compute", "--in", str(f), "--max-nodes", "2"]) == (0, "1\n", "")
+    assert run_cli(capsys, ["compute", "--in", str(f), "--max-nodes", "1"]) == (
+        2, "", "error: tree requires 2 nodes, exceeding the budget of 1\n")
+    # A header past the ids an 'i' array holds, whatever --max-nodes says.
+    f.write_text(f"{2**31}\n0 1\n")
+    assert run_cli(capsys, ["compute", "--in", str(f), "--max-nodes", str(2**40)]) == (
+        2, "", f"error: tree requires {2**31} nodes, exceeding the budget of "
+               f"{2**31 - 1}\n")
+
+
 def test_compute_empty_tree_exits_2(tmp_path, capsys):
     f = tmp_path / "empty.tree"
     f.write_text("0\n")

@@ -23,7 +23,8 @@ from treewiener import cli, trees
 from treewiener.compose import SINGLE, identify, join
 from treewiener.errors import ParseError
 from treewiener.oracle import distance_sum, wiener_linear
-from treewiener.trees import RootedTree, _parse_canonical, _parse_lines, parse, serialize
+from treewiener.trees import (
+    ROOT_PARENT, RootedTree, _parse_canonical, _parse_lines, parse, serialize)
 
 
 @st.composite
@@ -86,7 +87,7 @@ def edge_lists(draw, max_n, min_n=1):
     ids, in a random line order."""
     tree = draw(random_trees(max_n, min_n))
     perm = draw(st.permutations(range(tree.n)))
-    edges = [(perm[p], perm[c]) for c, p in enumerate(tree.parent) if p is not None]
+    edges = [(perm[p], perm[c]) for c, p in enumerate(tree.parent) if p != ROOT_PARENT]
     return tree.n, list(draw(st.permutations(edges)))
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -9,6 +10,8 @@ from treewiener.compose import replay_family
 from treewiener.errors import InvalidOrderError, ParseError, ResourceLimitError
 from treewiener.exact import fib
 from treewiener.trees import (
+    MAX_TREE_NODES,
+    ROOT_PARENT,
     FamilySpec,
     RootedTree,
     TreeFamily,
@@ -44,7 +47,7 @@ def test_binomial_base_cases():
     t0 = binomial_tree(0)
     assert t0.n == 1 and t0.children[0] == []
     t1 = binomial_tree(1)
-    assert t1.n == 2 and t1.parent.count(None) == 1
+    assert t1.n == 2 and t1.parent.count(ROOT_PARENT) == 1
 
 
 def test_binomial_order3_root_children_sizes():
@@ -136,7 +139,8 @@ def test_generate_matches_recursive_reference(family):
     while node_count(family, k) <= 5000:
         parent, children = reference_tree(family, k)
         tree = generate(family, k)
-        assert tree.parent == parent, f"{family.value} k={k}"
+        assert tree.parent.typecode == tree.kids.typecode == "i"
+        assert tree.parent.tolist() == parent, f"{family.value} k={k}"
         assert tree.children == children, f"{family.value} k={k}"
         leaves = [kids for kids in tree.children if not kids]
         assert all(kids is leaves[0] for kids in leaves), "one shared leaf list"
@@ -158,6 +162,35 @@ def test_build_is_the_one_loop_behind_generate_and_replay(monkeypatch, family):
     assert calls == [7, 7]
 
 
+@pytest.mark.parametrize("family", list(TreeFamily))
+def test_generate_kids_match_one_sort_by_parent(family):
+    # Each join puts the new child where leftmost says, so kids comes out
+    # grouped as one stable sort of the ids by parent would group them.
+    k = family.spec.min_order
+    while node_count(family, k) <= 5000:
+        tree = generate(family, k)
+        n = tree.n
+        order = range(n - 1, 0, -1) if family.spec.leftmost else range(1, n)
+        assert tree.kids.tolist() == sorted(order, key=tree.parent.__getitem__), (
+            f"{family.value} k={k}")
+        k += 1
+
+
+@pytest.mark.parametrize("ids,off,expected", [
+    ([], 5, []),
+    ([7], 3, [10]),
+    ([0, 1, 2**31 - 1], 0, [0, 1, 2**31 - 1]),
+    ([2**31 - 2, 0, 2**31 - 8], 1, [2**31 - 1, 1, 2**31 - 7]),
+    ([0, 255, 256, 65535, 65536, 2**24 - 1], 2**31 - 2**24,
+     [2**31 - 2**24, 2**31 - 2**24 + 255, 2**31 - 2**24 + 256,
+      2**31 - 2**24 + 65535, 2**31 - 2**24 + 65536, 2**31 - 1]),
+], ids=["empty", "one", "off-0", "up-to-2^31-1", "byte-boundaries"])
+def test_shifted_adds_off_to_every_lane(ids, off, expected):
+    got = trees._shifted(array("i", ids), off)
+    assert got.typecode == "i"
+    assert got.tolist() == expected
+
+
 def test_node_budget_enforced():
     with pytest.raises(ResourceLimitError) as exc:
         binomial_tree(5, max_nodes=10)
@@ -165,6 +198,10 @@ def test_node_budget_enforced():
     assert "32" in str(exc.value)
     with pytest.raises(ResourceLimitError):
         fibonacci_tree(40, max_nodes=10**6)
+    # Past the ids an 'i' array holds, whatever the budget, before a build.
+    with pytest.raises(ResourceLimitError) as exc:
+        binomial_tree(31, max_nodes=2**40)
+    assert (exc.value.required, exc.value.budget) == (2**31, MAX_TREE_NODES)
 
 
 def test_invalid_orders():
@@ -245,7 +282,15 @@ def test_parse_sorts_when_parent_ids_fall(monkeypatch, text, chars):
     got, ref = _parse_canonical(text), _parse_lines(text)
     assert got is not None
     assert (got.parent, got.kids, got.children) == (ref.parent, ref.kids, ref.children)
-    assert got.kids == sorted(got.kids, key=got.parent.__getitem__)
+    assert got.kids.tolist() == sorted(got.kids, key=got.parent.__getitem__)
+
+
+def test_from_parents_takes_none_or_root_parent_for_the_root():
+    tree = RootedTree.from_parents([1, None, 1, 0])
+    assert (tree.root, tree.parent.tolist(), tree.kids.tolist()) == (
+        1, [1, ROOT_PARENT, 1, 0], [3, 0, 2])
+    again = RootedTree.from_parents(tree.parent)
+    assert (again.root, again.parent, again.kids) == (tree.root, tree.parent, tree.kids)
 
 
 @pytest.mark.parametrize("parents,message", [
@@ -302,6 +347,39 @@ def test_parse_rejects_header_larger_than_input():
     with pytest.raises(ParseError, match="needs 999999999999 edges") as exc:
         parse("1000000000000\n0 1\n")
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("read", [parse, _parse_canonical, _parse_lines])
+def test_parse_refuses_header_past_budget(read):
+    # Each path checks the header against max_nodes before it sizes
+    # anything by n, both when the line count matches the header and when
+    # a two-line text claims a tree past the budget.
+    text = "4\n0 1\n0 2\n1 3\n"
+    assert read(text, 4).parent.tolist() == [ROOT_PARENT, 0, 0, 1]
+    with pytest.raises(ResourceLimitError) as exc:
+        read(text, 3)
+    assert (exc.value.required, exc.value.budget) == (4, 3)
+    if read is not _parse_canonical:  # the bulk path leaves this to the other
+        big = trees.DEFAULT_NODE_BUDGET + 1
+        with pytest.raises(ResourceLimitError) as exc:
+            _peak_under(20_000, read, f"{big}\n0 1\n", trees.DEFAULT_NODE_BUDGET)
+        assert exc.value.required == big
+        # Past the ids an 'i' array holds, the budget is MAX_TREE_NODES.
+        with pytest.raises(ResourceLimitError) as exc:
+            read(f"{2**31}\n0 1\n", 2**40)
+        assert (exc.value.required, exc.value.budget) == (2**31, MAX_TREE_NODES)
+
+
+def _peak_under(bound, fn, *args):
+    """fn(*args), failing if its tracemalloc peak reaches bound bytes, also
+    when fn raises."""
+    tracemalloc.start()
+    try:
+        return fn(*args)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < bound, f"peak {peak} bytes"
 
 
 # Without the whole-text scan, most of these texts read as a valid tree:
@@ -372,13 +450,12 @@ def _peak(fn, *args) -> int:
 
 
 # Measured tracemalloc peaks on the order-20 Fibonacci tree (10,946 nodes,
-# a 190,261-byte edge list): parse 1.43 MB, generate then serialize
-# 1.81 MB, under bounds about 40% and 20% above them.  They guard the peak
-# memory of generate --out and compute on large trees.  Rendering the whole
-# text in one format operation, with a pair list and a tuple over every
-# edge, reads 2.28 MB, past GENERATE_PEAK_BOUND.
-PARSE_PEAK_BOUND = 2_000_000
-GENERATE_PEAK_BOUND = 2_200_000
+# a 190,261-byte edge list): parse 1.25 MB, generate then serialize
+# 0.83 MB, under bounds about 20% above them.  They guard the peak memory
+# of generate --out and compute on large trees.  The same tree kept in
+# lists of ints, one object per id, reads 1.52 and 1.81 MB, past both.
+PARSE_PEAK_BOUND = 1_500_000
+GENERATE_PEAK_BOUND = 1_000_000
 
 
 def test_parse_memory_stays_small():
