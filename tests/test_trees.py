@@ -361,25 +361,17 @@ def test_parse_refuses_header_past_budget(read):
     assert (exc.value.required, exc.value.budget) == (4, 3)
     if read is not _parse_canonical:  # the bulk path leaves this to the other
         big = trees.DEFAULT_NODE_BUDGET + 1
-        with pytest.raises(ResourceLimitError) as exc:
-            _peak_under(20_000, read, f"{big}\n0 1\n", trees.DEFAULT_NODE_BUDGET)
-        assert exc.value.required == big
+
+        def refused():
+            with pytest.raises(ResourceLimitError) as exc:
+                read(f"{big}\n0 1\n", trees.DEFAULT_NODE_BUDGET)
+            assert exc.value.required == big
+
+        assert _peak(refused) < 20_000
         # Past the ids an 'i' array holds, the budget is MAX_TREE_NODES.
         with pytest.raises(ResourceLimitError) as exc:
             read(f"{2**31}\n0 1\n", 2**40)
         assert (exc.value.required, exc.value.budget) == (2**31, MAX_TREE_NODES)
-
-
-def _peak_under(bound, fn, *args):
-    """fn(*args), failing if its tracemalloc peak reaches bound bytes, also
-    when fn raises."""
-    tracemalloc.start()
-    try:
-        return fn(*args)
-    finally:
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak < bound, f"peak {peak} bytes"
 
 
 # Without the whole-text scan, most of these texts read as a valid tree:
