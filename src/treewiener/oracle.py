@@ -145,14 +145,10 @@ def wiener_linear(tree: RootedTree) -> int:
         raise EmptyTreeError("wiener_linear needs at least one node")
     n = tree.n
     parent = tree.parent
-    order = tree.bottom_up()
-    # With the ids counting down (a range), reversed(parent) yields each
-    # one's parent in step, which is faster than indexing into the array.
-    ups = reversed(parent) if isinstance(order, range) else map(parent.__getitem__, order)
     sizes = [1] * n
     total = 0
-    for u, p in zip(order, ups):
+    for u in tree.bottom_up():
         s = sizes[u]
-        sizes[p] += s
+        sizes[parent[u]] += s
         total += s * (n - s)
     return total

@@ -95,22 +95,21 @@ class RootedTree:
         return cls(1, 0, array("i", [ROOT_PARENT]), array("i"))
 
     @classmethod
-    def from_parents(cls, parents) -> "RootedTree":
-        """Build from a sequence of parent ids, in which None or ROOT_PARENT
-        marks the root; children are ordered by child id.  Validates
-        tree-ness."""
+    def from_parents(cls, parents: list) -> "RootedTree":
+        """Build from a parent list (None marks the root); children are
+        ordered by child id.  Validates tree-ness."""
         n = len(parents)
         if n == 0:
             return cls.empty()
-        parent = [ROOT_PARENT if p is None else p for p in parents]
-        roots = parent.count(ROOT_PARENT)
+        roots = parents.count(None)
         if roots != 1:
             raise ValueError(f"expected exactly one root, found {roots}")
-        for v, p in enumerate(parent):
-            if p != ROOT_PARENT and not 0 <= p < n:
+        for v, p in enumerate(parents):
+            if p is not None and not 0 <= p < n:
                 raise ValueError(f"parent id {p} of node {v} out of range")
-        root = parent.index(ROOT_PARENT)
-        tree = _grouped(array("i", parent), root, (v for v in range(n) if v != root))
+        root = parents.index(None)
+        parent = array("i", [ROOT_PARENT if p is None else p for p in parents])
+        tree = _grouped(parent, root, (v for v in range(n) if v != root))
         if len(tree.bottom_up()) != n - 1:
             raise ValueError("parent list does not describe a connected tree")
         return tree

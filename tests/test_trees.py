@@ -285,20 +285,20 @@ def test_parse_sorts_when_parent_ids_fall(monkeypatch, text, chars):
     assert got.kids.tolist() == sorted(got.kids, key=got.parent.__getitem__)
 
 
-def test_from_parents_takes_none_or_root_parent_for_the_root():
+def test_from_parents_stores_a_none_root_as_root_parent():
     tree = RootedTree.from_parents([1, None, 1, 0])
     assert (tree.root, tree.parent.tolist(), tree.kids.tolist()) == (
         1, [1, ROOT_PARENT, 1, 0], [3, 0, 2])
-    again = RootedTree.from_parents(tree.parent)
-    assert (again.root, again.parent, again.kids) == (tree.root, tree.parent, tree.kids)
 
 
 @pytest.mark.parametrize("parents,message", [
     ([1, 0], "expected exactly one root, found 0"),
     ([None, None], "expected exactly one root, found 2"),
     ([None, 3], "parent id 3 of node 1 out of range"),
+    ([None, ROOT_PARENT], "parent id -1 of node 1 out of range"),
     ([None, 2, 1], "parent list does not describe a connected tree"),
-], ids=["no-root", "two-roots", "parent-out-of-range", "cycle-cut-off"])
+], ids=["no-root", "two-roots", "parent-out-of-range", "root-parent-is-not-none",
+     "cycle-cut-off"])
 def test_from_parents_rejects_non_trees(parents, message):
     with pytest.raises(ValueError, match=message):
         RootedTree.from_parents(parents)
