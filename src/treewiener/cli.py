@@ -30,6 +30,7 @@ from treewiener.errors import (
 from treewiener.trees import (
     DEFAULT_NODE_BUDGET,
     TreeFamily,
+    check_header,
     generate,
     node_count,
     parse,
@@ -183,18 +184,28 @@ def cmd_closed_form(args) -> int:
 def cmd_generate(args) -> int:
     family = TreeFamily(args.family)
     _check_order(args.order, MAX_LINEAR_ORDER, "order", "a generated tree")
-    text = serialize(generate(family, args.order, max_nodes=args.max_nodes))
+    pieces = serialize(generate(family, args.order, max_nodes=args.max_nodes))
     # Rendered before the file is opened, so an error while rendering
     # leaves no empty file, and an existing one as it was.
-    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+    with open(args.out, "wb") as fh:
+        fh.writelines(pieces)
     return 0
 
 
+# The bytes compute reads first, for the header: room for any node count
+# an 'i' array holds, with leading zeros.
+_HEADER_BYTES = 64
+
+
 def cmd_compute(args) -> int:
-    # A byte outside ASCII becomes a lone surrogate, which parse rejects
-    # with its line number.
-    with open(args.input, "r", encoding="ascii", errors="surrogateescape") as fh:
+    # A file that can be read again from its start has its header checked
+    # first, so a header past the budget costs no read of the rest; a pipe
+    # is read whole, and parse checks it.  Unbuffered, so read() returns
+    # the file as one bytes object, with no buffered head joined to it.
+    with open(args.input, "rb", buffering=0) as fh:
+        if fh.seekable():
+            check_header(fh.read(_HEADER_BYTES), args.max_nodes)
+            fh.seek(0)
         tree = parse(fh.read(), max_nodes=args.max_nodes)
     if args.algo == "bfs" and tree.n > MAX_BFS_NODES:
         raise TreeWienerError(

@@ -344,15 +344,17 @@ def generate(family: TreeFamily, k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -
     return RootedTree(n, 0, parent, kids)
 
 
-def serialize(tree: RootedTree) -> str:
-    """Edge-list text: first line is the node count n, then n-1 lines
-    "parent child"; a node's child edges appear in child order, LF endings.
-    The edge lines are rendered _SERIALIZE_SLICE at a time, each piece by
-    one format operation over that slice of kids, read as a list, and its
-    parent ids, read by one itemgetter call, and one join assembles the
-    text, so no temporary but the text itself grows with the tree."""
+def serialize(tree: RootedTree) -> list:
+    """Edge-list text as a list of ASCII bytes pieces: b"".join(pieces) is
+    the file, and a binary file's writelines writes it.  First line the
+    node count n, then n-1 lines "parent child"; a node's child edges
+    appear in child order, LF endings.  The edge lines are rendered
+    _SERIALIZE_SLICE at a time, each piece by one format operation over
+    that slice of kids, read as a list, and its parent ids, read by one
+    itemgetter call.  The pieces are not joined, so they are the text's
+    only copy, and no other temporary grows with the tree."""
     kids, parent = tree.kids, tree.parent
-    pieces = [f"{tree.n}\n"]
+    pieces = [b"%d\n" % tree.n]
     for i in range(0, len(kids), _SERIALIZE_SLICE):
         piece = kids[i:i + _SERIALIZE_SLICE].tolist()
         pairs = [0] * (2 * len(piece))
@@ -360,79 +362,108 @@ def serialize(tree: RootedTree) -> str:
         ups = itemgetter(*piece)(parent)
         pairs[::2] = ups if len(piece) > 1 else (ups,)
         pairs[1::2] = piece
-        pieces.append("%d %d\n" * len(piece) % tuple(pairs))
-    return "".join(pieces)
+        pieces.append(b"%d %d\n" * len(piece) % tuple(pairs))
+    return pieces
 
 
-def parse(text: str, max_nodes: int | None = None) -> RootedTree:
+def parse(text: bytes | str, max_nodes: int | None = None) -> RootedTree:
     """Inverse of serialize, with line-numbered rejection of bad input.
 
-    A text in serialize's exact form is read and checked in bulk.  Every
+    text is a file's bytes, or a str.  Bytes in serialize's exact form are
+    read and checked in bulk, and so is an ASCII str, once encoded.  Every
     other text, and every text the bulk checks reject, is read line by line
-    (_parse_lines), which alone raises ParseError, so each input gets the
-    same tree or the same error whichever way it is read.  A header n past
-    max_nodes, when given, is refused with ResourceLimitError before
-    anything is sized by it.  So is one past MAX_TREE_NODES, the most nodes
-    'i' ids can number, once the text has as many lines as it claims.
+    (_parse_lines), bytes decoded as ASCII with surrogateescape, so that a
+    byte past ASCII becomes a lone surrogate it rejects.  _parse_lines alone
+    raises ParseError, so each input gets the same tree or the same error
+    whichever way it is read.  A header n past max_nodes, when given, is
+    refused with ResourceLimitError before anything is sized by it.  So is
+    one past MAX_TREE_NODES, the most nodes 'i' ids can number, once the
+    text has as many lines as it claims.
     """
-    tree = _parse_canonical(text, max_nodes)
-    return _parse_lines(text, max_nodes) if tree is None else tree
+    data = text if isinstance(text, bytes) else text.encode("ascii") if text.isascii() else None
+    tree = None if data is None else _parse_canonical(data, max_nodes)
+    if tree is not None:
+        return tree
+    if data is text:
+        # Decoded only now, and the bytes dropped, so that the line reader
+        # holds one copy of the text.
+        text = text.decode("ascii", "surrogateescape")
+    del data
+    return _parse_lines(text, max_nodes)
+
+
+def check_header(head: bytes, max_nodes: int | None) -> None:
+    """parse's ResourceLimitError for a file whose first bytes, head, hold
+    a whole first line of ASCII digits: a node count past max_nodes (None:
+    no budget) or MAX_TREE_NODES.  compute checks it before it reads the
+    rest of the file.  Any other head is left to parse, a count past the
+    integer-to-string digit limit too, which parse reports as a ParseError."""
+    line, lf, _ = head.partition(b"\n")
+    if lf and line.isdigit():
+        try:
+            n = int(line)
+        except ValueError:
+            return
+        _check_nodes(n, max_nodes)
 
 
 # serialize's exact form, [0-9]+\n(?:[0-9]+ [0-9]+\n)*, is checked as a
 # header line and then every LF followed by one edge line or by the end.
 # Matching the repeated group instead keeps backtracking state for every
 # line: some 20 MB on a 317,811-node text.
-_HEADER = r"[0-9]+\n"
-_BAD_LINE = r"\n(?![0-9]+ [0-9]+\n|\Z)"
+# The patterns are compiled on first use, by re's cache: compiling them at
+# import would cost every command's start-up.
+_HEADER = rb"[0-9]+\n"
+_BAD_LINE = rb"\n(?![0-9]+ [0-9]+\n|\Z)"
 
-# Edge lines per format operation in serialize, and characters, rounded up
-# to the end of a line, per json.loads in _parse_canonical: large enough
-# that the cost per slice vanishes, small enough that a slice's temporaries
-# are a small part of a 3e5-node tree.
+# Edge lines per format operation in serialize, and bytes, rounded up to
+# the end of a line, per json.loads in _parse_canonical, or characters per
+# splitlines in _lines: large enough that the cost per slice vanishes,
+# small enough that a slice's temporaries are a small part of a 3e5-node
+# tree.
 _SERIALIZE_SLICE = 4096
 _PARSE_SLICE = 1 << 17
 
 
-def _parse_canonical(text: str, max_nodes: int | None = None):
-    """The tree a text in serialize's form describes, or None for a text in
-    any other form or one that is not a tree.
+def _parse_canonical(data: bytes, max_nodes: int | None = None):
+    """The tree that bytes in serialize's form describe, or None for bytes
+    in any other form or ones that are not a tree.
 
     The header n comes from json.loads, which rejects leading zeros and
-    integers past the digit limit (None then), and the text must hold
+    integers past the digit limit (None then), and the bytes must hold
     exactly n LFs, n - 1 edge lines, and n must pass _check_nodes, before
     anything is sized by n.  The edge lines are then read _PARSE_SLICE
-    characters of whole lines at a time, each slice by one json.loads, with
+    bytes of whole lines at a time, each slice by one json.loads, with
     every id checked below n, the parent ids scattered into parent[] at
     the child ids, which are appended to kids.  Then, in bulk: one node
     without a parent, so no child is repeated; and either every parent id
     below its child's, or a walk from the root that reaches all n nodes, so
     there is no cycle (the tree's bottom_up, which keeps the answer for
     wiener_linear).  When the parent ids never fall from line to line, as
-    in every text serialize writes, the line order already groups kids and
+    in every file serialize writes, the line order already groups kids and
     the sort is skipped.
     """
-    if re.match(_HEADER, text) is None or re.search(_BAD_LINE, text):
+    if re.match(_HEADER, data) is None or re.search(_BAD_LINE, data):
         return None
     # Imported here: only parse needs json, and importing it at start-up
     # would cost every other command.
     import json
-    start = text.index("\n") + 1
+    start = data.index(b"\n") + 1
     try:
-        n = json.loads(text[:start - 1])
+        n = json.loads(data[:start - 1])
     except ValueError:
         return None
-    if text.count("\n") != n:
+    if data.count(b"\n") != n:
         return None
     _check_nodes(n, max_nodes)
     parent = array("i", [ROOT_PARENT]) * n
     kids = array("i")
     last = 0  # the last parent id read, or None once one fell
-    final = len(text) - 1  # the last LF
-    while start < len(text):
-        end = text.find("\n", min(start + _PARSE_SLICE - 1, final)) + 1
+    final = len(data) - 1  # the last LF
+    while start < len(data):
+        end = data.find(b"\n", min(start + _PARSE_SLICE - 1, final)) + 1
         try:
-            nums = json.loads("[" + text[start:end - 1].replace(" ", ",").replace("\n", ",") + "]")
+            nums = json.loads(b"[" + data[start:end - 1].replace(b" ", b",").replace(b"\n", b",") + b"]")
         except ValueError:
             return None
         if max(nums) >= n:
@@ -458,6 +489,34 @@ def _parse_canonical(text: str, max_nodes: int | None = None):
     return tree
 
 
+# The characters the line reader rejects wherever they stand (see
+# _parse_lines): those of _REJECTED_ASCII and every one past ASCII.
+_REJECTED_ASCII = "+-_\x0b\x0c\x1c\x1d\x1e\x1f"
+_REJECTED = "[^\x00-\x7f]|[%s]" % re.escape(_REJECTED_ASCII)
+# A line break in a text the line reader reads: LF, CR or CRLF, the only
+# breaks it leaves unrejected.
+_BREAK = "\r\n?|\n"
+
+
+def _lines(text: str):
+    """text.splitlines(), one line at a time: the text is split
+    _PARSE_SLICE characters at a time, rounded up to the end of a line, so
+    no list of every line is held.  For a text holding no line break but
+    LF, CR and CRLF."""
+    search = re.compile(_BREAK).search
+    start = 0
+    while start < len(text):
+        cut = search(text, start + _PARSE_SLICE - 1)
+        end = len(text) if cut is None else cut.end()
+        yield from text[start:end].splitlines()
+        start = end
+
+
+def _breaks(text: str, end: int) -> int:
+    """The line breaks (LF, CR or CRLF) in text[:end]."""
+    return text.count("\n", 0, end) + text.count("\r", 0, end) - text.count("\r\n", 0, end)
+
+
 def _parse_lines(text: str, max_nodes: int | None = None) -> RootedTree:
     """parse, one line at a time, for any text: the reference the bulk path
     must agree with, and the only source of ParseError.
@@ -469,45 +528,48 @@ def _parse_lines(text: str, max_nodes: int | None = None) -> RootedTree:
     (disconnection / multiple roots).  A header past max_nodes, when given,
     is refused as soon as it is read, before the line count; one past
     MAX_TREE_NODES only after it, as no text short of 2**31 lines has one.
+    Lines end at LF, CR or CRLF, as in str.splitlines, and are read a slice
+    at a time (_lines), so no list of them is held.
     """
     # int() also reads signs, underscores and the digits of other scripts,
     # and str.split() and str.splitlines() take the control characters for
-    # separators.  One scan of the whole text; the offending line is searched
-    # only when it fails.  keepends: a line break other than LF, CR or CRLF
-    # is itself rejected, and belongs to the line it ends.
-    rejected = "+-_\x0b\x0c\x1c\x1d\x1e\x1f"
-    if not text.isascii() or any(ch in text for ch in rejected):
-        for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
-            bad = [ch for ch in line if not ch.isascii() or ch in rejected]
-            if bad:
-                raise ParseError(lineno, f"expected ASCII decimal digits, found {bad[0]!r}")
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    # separators.  One scan of the whole text; the first offending character
+    # is searched only when it fails.  Every line break other than LF, CR or
+    # CRLF is itself rejected, so none stands before that character, and it
+    # belongs to the line it ends.
+    if not text.isascii() or any(ch in text for ch in _REJECTED_ASCII):
+        at = re.search(_REJECTED, text).start()
+        raise ParseError(_breaks(text, at) + 1,
+                         f"expected ASCII decimal digits, found {text[at]!r}")
+    lines = _lines(text)
+    header = next(lines, "").strip()
+    if not header:
         raise ParseError(1, "missing node-count header")
     try:
-        n = int(lines[0].strip())
+        n = int(header)
     except ValueError:
-        raise ParseError(1, f"node count is not an integer: {lines[0].strip()!r}") from None
+        raise ParseError(1, f"node count is not an integer: {header!r}") from None
     if max_nodes is not None:
         _check_nodes(n, max_nodes)
     if n == 0:
-        for i, line in enumerate(lines[1:], start=2):
+        for i, line in enumerate(lines, start=2):
             if line.strip():
                 raise ParseError(i, "edge line after a 0-node header")
         return RootedTree.empty()
     # Each edge takes a line, so a header larger than the input is rejected
     # before it sizes any allocation.
-    if n - 1 > len(lines) - 1:
+    line_count = _breaks(text, len(text)) + (text[-1:] not in ("", "\r", "\n"))
+    if n > line_count:
         raise ParseError(
-            len(lines),
+            line_count,
             f"tree on {n} nodes needs {n - 1} edges, more lines than the input has",
         )
     _check_nodes(n, None)
 
     parent = array("i", [ROOT_PARENT]) * n
-    kids = []  # in line order, grouped by parent at the end
+    kids = array("i")  # in line order, grouped by parent at the end
     # Union-find over node ids for immediate cycle detection.
-    uf = list(range(n))
+    uf = array("i", range(n))
 
     def find(x):
         root = x
@@ -518,7 +580,8 @@ def _parse_lines(text: str, max_nodes: int | None = None) -> RootedTree:
         return root
 
     edges = 0
-    for lineno, raw in enumerate(lines[1:], start=2):
+    last = 0  # the last parent id read, or None once one fell
+    for lineno, raw in enumerate(lines, start=2):
         line = raw.strip()
         if not line:
             continue
@@ -547,12 +610,17 @@ def _parse_lines(text: str, max_nodes: int | None = None) -> RootedTree:
         parent[c] = p
         kids.append(c)
         edges += 1
+        if last is not None:
+            last = p if last <= p else None
 
     if edges != n - 1:
         raise ParseError(
-            len(lines),
+            line_count,
             f"tree on {n} nodes needs {n - 1} edges, found {edges}"
             + (" (disconnected or multiple roots)" if edges < n - 1 else ""),
         )
-    # n-1 edges, no cycle, unique parents: exactly one root remains.
-    return _grouped(parent, parent.index(ROOT_PARENT), kids)
+    # n-1 edges, no cycle, unique parents: exactly one root remains.  When
+    # the parent ids never fell, the line order already groups kids, and
+    # the sort, which boxes every id twice, is skipped.
+    root = parent.index(ROOT_PARENT)
+    return RootedTree(n, root, parent, kids) if last is not None else _grouped(parent, root, kids)

@@ -1,10 +1,11 @@
 """Shared tree builders, comparisons, the recursive family references, the
-one-search-at-a-time BFS reference and the arithmetic counter for the test
-suite."""
+one-search-at-a-time BFS reference, the arithmetic counter and the
+tracemalloc peak for the test suite."""
 
 import dis
 import random
 import sys
+import tracemalloc
 
 from treewiener.trees import ROOT_PARENT, RootedTree, TreeFamily
 
@@ -197,3 +198,13 @@ def count_arithmetic(fn, *args, operators=None) -> int:
     finally:
         sys.settrace(previous)
     return count
+
+
+def peak_memory(fn, *args) -> int:
+    """The tracemalloc peak, in bytes, of fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

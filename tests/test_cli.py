@@ -12,6 +12,8 @@ from treewiener import cli, compose, formulas, oracle, trees
 from treewiener.errors import NotDivisibleError
 from treewiener.trees import TreeFamily
 
+from helpers import peak_memory
+
 # The interpreter's integer-to-string digit limit (0 = none, or Python < 3.11).
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_digit_limit = pytest.mark.skipif(
@@ -267,6 +269,24 @@ def test_generate_failing_to_render_leaves_no_file(tmp_path, capsys, monkeypatch
         assert out_file.read_text() == existing
 
 
+# Fibonacci 24, a 1,477,208-byte edge list: large enough that the text, and
+# not one slice's temporaries (some 0.55 MB at 4,096 lines), sets the peak.
+# cli.main renders it as bytes pieces and writes them as they are, and
+# peaks at 3.04 MB; the same call that joined the pieces into one str and
+# encoded it for a text-mode file peaked at 4.27 MB.  The bound is about
+# 20% above the first.  On Fibonacci 20 a slice's temporaries outweigh the
+# 190 kB text, and both read 1.07 MB.
+GENERATE_OUT_PEAK_BOUND = 3_650_000
+
+
+def test_generate_out_holds_the_text_once(tmp_path):
+    out_file = tmp_path / "f24.tree"
+    codes = []
+    argv = ["generate", "--family", "fibonacci", "--order", "24", "--out", str(out_file)]
+    assert peak_memory(lambda: codes.append(cli.main(argv))) < GENERATE_OUT_PEAK_BOUND
+    assert codes == [0] and out_file.stat().st_size == 1_477_208
+
+
 def test_compute_linear_on_path(tmp_path, capsys):
     f = tmp_path / "path3.tree"
     f.write_text("3\n0 1\n1 2\n")
@@ -359,6 +379,44 @@ def test_compute_header_past_max_nodes_exits_2(tmp_path, capsys):
     assert run_cli(capsys, ["compute", "--in", str(f), "--max-nodes", str(2**40)]) == (
         2, "", f"error: tree requires {2**31} nodes, exceeding the budget of "
                f"{2**31 - 1}\n")
+
+
+def test_compute_refuses_a_header_past_budget_before_the_body(tmp_path, capsys):
+    # 4 MB of edge lines under a header one node past the budget: compute
+    # reads the header alone, so its peak stays far below the body's size.
+    # The last line holds a byte past ASCII, which a read of the whole file
+    # would report instead, as a ParseError.
+    f = tmp_path / "big.tree"
+    big = trees.DEFAULT_NODE_BUDGET + 1
+    f.write_bytes(b"%d\n" % big + b"0 1\n" * 1_000_000 + b"0 \xff\n")
+    codes = []
+    assert peak_memory(lambda: codes.append(cli.main(["compute", "--in", str(f)]))) < 1_000_000
+    assert codes == [2]
+    assert capsys.readouterr() == (
+        "", f"error: tree requires {big} nodes, exceeding the budget of "
+            f"{trees.DEFAULT_NODE_BUDGET}\n")
+
+
+@pytest.mark.parametrize("eol", [b"\r\n", b"\r"], ids=["crlf", "lone-cr"])
+def test_compute_reads_cr_line_ends_like_lf(tmp_path, capsys, eol):
+    # compute reads the file's bytes, with no newline translation, so the
+    # line reader ends lines at CRLF and at a lone CR as at LF: the same W,
+    # and the same line in an error, whether the line is counted as the
+    # lines are read (the cycle) or from the whole text (the edge count).
+    f = tmp_path / "t.tree"
+    assert cli.main(["generate", "--family", "fibonacci", "--order", "12",
+                     "--out", str(f)]) == 0
+    w = f"{cli.ROUTES['closed'](TreeFamily.FIBONACCI, 12)}\n"
+    for lf, want in ((f.read_bytes(), (0, w, "")),
+                     (b"3\n0 1\n\n1 2\n2 0\n",
+                      (2, "", "error: line 5: edge 2 0 closes a cycle\n")),
+                     (b"4\n0 1\n\n1 2\n",
+                      (2, "", "error: line 4: tree on 4 nodes needs 3 edges, found 2 "
+                              "(disconnected or multiple roots)\n"))):
+        f.write_bytes(lf)
+        assert run_cli(capsys, ["compute", "--in", str(f)]) == want
+        f.write_bytes(lf.replace(b"\n", eol))
+        assert run_cli(capsys, ["compute", "--in", str(f)]) == want
 
 
 def test_compute_empty_tree_exits_2(tmp_path, capsys):
@@ -615,3 +673,23 @@ def test_python_dash_m_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "68\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_compute_reads_a_pipe_whole():
+    # A pipe cannot be read again from its start, so compute reads it whole
+    # and leaves the header to parse: a tree within the budget reads as
+    # from a file, and a header past it behind a byte past ASCII gets the
+    # ParseError a whole read finds first.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+
+    def compute(data):
+        proc = subprocess.run([sys.executable, "-m", "treewiener", "compute", "--in",
+                               "/dev/stdin"], input=data, capture_output=True, env=env)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    assert compute(b"3\n0 1\n1 2\n") == (0, b"4\n", b"")
+    big = trees.DEFAULT_NODE_BUDGET + 1
+    assert compute(b"%d\n0 \xff\n" % big) == (
+        2, b"", b"error: line 2: expected ASCII decimal digits, found '\\udcff'\n")

@@ -219,7 +219,10 @@ GOLDEN_SWEEPS = [
      'e96ff46e7132436a62db857f68b22eff43b56d7b5e1763cd062285ab2074a7b4'),
 ]
 
-# SHA-256 of the edge-list file `generate --family F --order K` writes.
+# SHA-256 of the edge-list file `generate --family F --order K` writes.  The
+# order-14 and order-20 files, captured while generate still wrote one str
+# in text mode, span four or five of serialize's 4,096-line pieces; the
+# smaller ones fit in one or two.
 GOLDEN_FILES = [
     ('binomial', 0, '4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865'),
     ('binomial', 3, '911b99415f60fc7f408a6909bb3e4b750e13a4e5985c8b30c09f6c3898352c5f'),
@@ -230,6 +233,9 @@ GOLDEN_FILES = [
     ('binary-fibonacci', 0, '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa'),
     ('binary-fibonacci', 5, '03d0f0f9411bb03fa0ad2261ff16523f775f27f887265909aacad2986ddf6898'),
     ('binary-fibonacci', 17, '9bf5ebd5c9cc38a7aceb70fc7e36d5fca3cdf4408917fcdfe4441b7c6ef18b20'),
+    ('binomial', 14, '77473e609adb0169e071547011c1c6bc094f0c690d0c549008aa1f933e67ebbd'),
+    ('fibonacci', 20, 'd73c13049c2fd16b8e8d552013aed7ae92973445f832d97a7309b7691817f3bf'),
+    ('binary-fibonacci', 20, '54511453f26b7ba24a5958a5814ee2d1d08a8233d9e27a29721edbb6ba4ecd5e'),
 ]
 
 

@@ -40,7 +40,7 @@ def edge_list_bytes(draw):
     """Arbitrary bytes, or a valid edge list with arbitrary bytes spliced in."""
     if draw(st.booleans()):
         return draw(st.binary(max_size=64))
-    data = serialize(draw(random_trees(12))).encode()
+    data = b"".join(serialize(draw(random_trees(12))))
     i = draw(st.integers(0, len(data)))
     j = draw(st.integers(i, len(data)))
     return data[:i] + draw(st.binary(max_size=8)) + data[j:]
@@ -141,7 +141,7 @@ def test_parse_matches_per_line_reader(case, layout, rng, chars):
     text = render(n, edges, layout, rng)
     with parse_slices(chars):
         # The bulk path reads exactly the texts in serialize's form.
-        assert (_parse_canonical(text) is not None) == (text == plain(n, edges))
+        assert (_parse_canonical(text.encode()) is not None) == (text == plain(n, edges))
         got = parse(text)
     ref = _parse_lines(text)
     assert all(ref.parent[c] == p for p, c in edges)
@@ -197,7 +197,7 @@ def test_parse_rejects_like_per_line_reader(case, mutation, data, chars):
     with pytest.raises(ParseError) as ref:
         _parse_lines(text)
     with parse_slices(chars):
-        assert _parse_canonical(text) is None
+        assert _parse_canonical(text.encode()) is None
         with pytest.raises(ParseError) as got:
             parse(text)
     assert (got.value.line, got.value.reason) == (ref.value.line, ref.value.reason)

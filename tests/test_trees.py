@@ -1,6 +1,5 @@
 import math
 import random
-import tracemalloc
 from array import array
 
 import pytest
@@ -26,7 +25,7 @@ from treewiener.trees import (
     _parse_lines,
 )
 
-from helpers import random_tree, reference_tree, shape
+from helpers import peak_memory, random_tree, reference_tree, shape
 
 
 def subtree_size(tree, v):
@@ -220,20 +219,20 @@ def test_invalid_orders():
 # ---------------------------------------------------------------------------
 
 def test_serialize_single_node():
-    text = serialize(RootedTree.single())
-    assert text == "1\n"
-    back = parse(text)
+    data = b"".join(serialize(RootedTree.single()))
+    assert data == b"1\n"
+    back = parse(data)
     assert back.n == 1 and back.root == 0
 
 
 def test_serialize_two_nodes():
     t = RootedTree.from_parents([None, 0])
-    assert serialize(t) == "2\n0 1\n"
-    assert shape(parse(serialize(t))) == shape(t)
+    assert b"".join(serialize(t)) == b"2\n0 1\n"
+    assert shape(parse(b"".join(serialize(t)))) == shape(t)
 
 
 def test_serialize_empty_tree():
-    assert serialize(binary_fibonacci_tree(0)) == "0\n"
+    assert b"".join(serialize(binary_fibonacci_tree(0))) == b"0\n"
     assert parse("0\n").n == 0
     assert RootedTree.from_parents([]).n == 0
 
@@ -257,15 +256,15 @@ def test_sliced_io_matches_one_piece(monkeypatch, lines):
              RootedTree.from_parents([None, 0]), binomial_tree(4),
              fibonacci_tree(6), binary_fibonacci_tree(6),
              random_tree(random.Random(lines), 40)]
-    expected = [_one_format(t) for t in cases]
+    expected = [_one_format(t).encode() for t in cases]
     monkeypatch.setattr(trees, "_SERIALIZE_SLICE", lines)
     for tree, want in zip(cases, expected):
-        text = serialize(tree)
-        assert text == want
+        data = b"".join(serialize(tree))
+        assert data == want
         for chars in range(1, 19):
             monkeypatch.setattr(trees, "_PARSE_SLICE", chars)
-            assert (_parse_canonical(text) is None) == (tree.n == 0)
-            back = parse(text)
+            assert (_parse_canonical(data) is None) == (tree.n == 0)
+            back = parse(data)
             assert (back.n, back.root, back.parent, back.kids) == (
                 tree.n, tree.root, tree.parent, tree.kids)
 
@@ -279,10 +278,21 @@ def test_parse_sorts_when_parent_ids_fall(monkeypatch, text, chars):
     # The parent column falls once, so the line order is not grouped by
     # parent and the bulk path must sort it.
     monkeypatch.setattr(trees, "_PARSE_SLICE", chars)
-    got, ref = _parse_canonical(text), _parse_lines(text)
+    got, ref = _parse_canonical(text.encode()), _parse_lines(text)
     assert got is not None
     assert (got.parent, got.kids, got.children) == (ref.parent, ref.kids, ref.children)
     assert got.kids.tolist() == sorted(got.kids, key=got.parent.__getitem__)
+
+
+def test_lines_match_splitlines_at_every_slice(monkeypatch):
+    # The line reader's slices end after a line break, never inside a CRLF,
+    # so blank lines, lone CRs and a last line with or without a break read
+    # as str.splitlines reads them, wherever the slices fall.
+    text = "3\r\n\r\n0 1\r\r0 2\n\n\r\n 1 2 \r"
+    for chars in range(1, len(text) + 2):
+        monkeypatch.setattr(trees, "_PARSE_SLICE", chars)
+        for t in (text, text + "4", text[1:], "\n", ""):
+            assert list(trees._lines(t)) == t.splitlines()
 
 
 def test_from_parents_stores_a_none_root_as_root_parent():
@@ -353,8 +363,11 @@ def test_parse_rejects_header_larger_than_input():
 def test_parse_refuses_header_past_budget(read):
     # Each path checks the header against max_nodes before it sizes
     # anything by n, both when the line count matches the header and when
-    # a two-line text claims a tree past the budget.
+    # a two-line text claims a tree past the budget.  The bulk path reads
+    # bytes only.
     text = "4\n0 1\n0 2\n1 3\n"
+    if read is _parse_canonical:
+        text = text.encode()
     assert read(text, 4).parent.tolist() == [ROOT_PARENT, 0, 0, 1]
     with pytest.raises(ResourceLimitError) as exc:
         read(text, 3)
@@ -367,7 +380,7 @@ def test_parse_refuses_header_past_budget(read):
                 read(f"{big}\n0 1\n", trees.DEFAULT_NODE_BUDGET)
             assert exc.value.required == big
 
-        assert _peak(refused) < 20_000
+        assert peak_memory(refused) < 20_000
         # Past the ids an 'i' array holds, the budget is MAX_TREE_NODES.
         with pytest.raises(ResourceLimitError) as exc:
             read(f"{2**31}\n0 1\n", 2**40)
@@ -409,7 +422,7 @@ def test_roundtrip_random_trees():
     for i in range(1000):
         n = int(math.exp(rng.uniform(0.0, math.log(10_000))))
         t = random_tree(rng, n)
-        back = parse(serialize(t))
+        back = parse(b"".join(serialize(t)))
         assert back.n == t.n
         assert back.parent == t.parent, f"tree {i} (n={n}) changed parents"
         assert back.children == t.children, f"tree {i} (n={n}) changed child order"
@@ -432,16 +445,7 @@ def test_roundtrip_tolerates_relabeled_input():
 # Memory
 # ---------------------------------------------------------------------------
 
-def _peak(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-# Measured tracemalloc peaks on the order-20 Fibonacci tree (10,946 nodes,
+# Measured tracemalloc peaks on the order-20 Fibonacci tree (17,711 nodes,
 # a 190,261-byte edge list): parse 1.25 MB, generate then serialize
 # 0.83 MB, under bounds about 20% above them.  They guard the peak memory
 # of generate --out and compute on large trees.  The same tree kept in
@@ -451,12 +455,12 @@ GENERATE_PEAK_BOUND = 1_000_000
 
 
 def test_parse_memory_stays_small():
-    text = serialize(fibonacci_tree(20))
-    assert _peak(parse, text) < PARSE_PEAK_BOUND
-    # Reading the integers by str.split instead holds a string per token,
-    # and that alone is past the bound.
-    assert _peak(lambda: list(map(int, text.split()))) > PARSE_PEAK_BOUND
+    data = b"".join(serialize(fibonacci_tree(20)))
+    assert peak_memory(parse, data) < PARSE_PEAK_BOUND
+    # Reading the integers by bytes.split instead holds a bytes object per
+    # token, and that alone is past the bound.
+    assert peak_memory(lambda: list(map(int, data.split()))) > PARSE_PEAK_BOUND
 
 
 def test_generate_and_serialize_memory_stays_small():
-    assert _peak(lambda: serialize(generate(TreeFamily.FIBONACCI, 20))) < GENERATE_PEAK_BOUND
+    assert peak_memory(lambda: serialize(generate(TreeFamily.FIBONACCI, 20))) < GENERATE_PEAK_BOUND
