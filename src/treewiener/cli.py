@@ -198,15 +198,22 @@ _HEADER_BYTES = 64
 
 
 def cmd_compute(args) -> int:
-    # A file that can be read again from its start has its header checked
-    # first, so a header past the budget costs no read of the rest; a pipe
-    # is read whole, and parse checks it.  Unbuffered, so read() returns
-    # the file as one bytes object, with no buffered head joined to it.
+    # The header is checked first, on a pipe too, so a header past the
+    # budget costs no read of the rest; a head that does not hold the
+    # whole header line, as a pipe's first read may not, is left to parse.
+    # Unbuffered, so read() returns the rest as one bytes object: a file
+    # is read again from its start, with no buffered head joined to it; a
+    # pipe cannot be, so its head is.
     with open(args.input, "rb", buffering=0) as fh:
+        head = fh.read(_HEADER_BYTES)
+        check_header(head, args.max_nodes)
         if fh.seekable():
-            check_header(fh.read(_HEADER_BYTES), args.max_nodes)
             fh.seek(0)
-        tree = parse(fh.read(), max_nodes=args.max_nodes)
+            data = fh.read()
+        else:
+            data = head + fh.read()
+    tree = parse(data, max_nodes=args.max_nodes)
+    del data  # not held while the tree is walked
     if args.algo == "bfs" and tree.n > MAX_BFS_NODES:
         raise TreeWienerError(
             f"tree of {tree.n} nodes exceeds the cap of {MAX_BFS_NODES} nodes "

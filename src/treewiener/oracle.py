@@ -16,6 +16,7 @@ Two independent routes to the Wiener index:
 Everything accumulates in Python ints, so results stay exact at any size.
 """
 
+from operator import mul
 from typing import Sequence
 
 from treewiener.errors import EmptyTreeError, UnknownNodeError
@@ -140,15 +141,16 @@ def wiener_bfs(tree: RootedTree) -> int:
 def wiener_linear(tree: RootedTree) -> int:
     """Wiener index by edge contributions in one bottom-up pass (linear):
     the ids counting down when every parent id is below its child's, as in
-    every generated tree, else a walk from the root, reversed."""
+    every generated tree, else a walk from the root, reversed.  The pass
+    only adds each subtree size into its parent's; the contributions
+    s * (n - s) over the non-root sizes s are then summed in C, as
+    n * sum(s) - sum(s * s), with the root's size set to 0."""
     if tree.n == 0:
         raise EmptyTreeError("wiener_linear needs at least one node")
     n = tree.n
     parent = tree.parent
     sizes = [1] * n
-    total = 0
     for u in tree.bottom_up():
-        s = sizes[u]
-        sizes[parent[u]] += s
-        total += s * (n - s)
-    return total
+        sizes[parent[u]] += sizes[u]
+    sizes[tree.root] = 0
+    return n * sum(sizes) - sum(map(mul, sizes, sizes))

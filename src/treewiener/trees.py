@@ -28,7 +28,7 @@ from collections import deque
 from enum import Enum
 from functools import partial
 from itertools import count, groupby, islice, repeat
-from operator import countOf, itemgetter, le, lt, setitem
+from operator import countOf, itemgetter, lt, setitem
 from typing import Callable, NamedTuple
 
 from treewiener import formulas
@@ -369,8 +369,9 @@ def serialize(tree: RootedTree) -> list:
 def parse(text: bytes | str, max_nodes: int | None = None) -> RootedTree:
     """Inverse of serialize, with line-numbered rejection of bad input.
 
-    text is a file's bytes, or a str.  Bytes in serialize's exact form are
-    read and checked in bulk, and so is an ASCII str, once encoded.  Every
+    text is a file's bytes, or a str.  Bytes in serialize's exact form, or
+    in that form with CRLF after every line, are read and checked in bulk
+    (_parse_canonical), and so is an ASCII str, once encoded.  Every
     other text, and every text the bulk checks reject, is read line by line
     (_parse_lines), bytes decoded as ASCII with surrogateescape, so that a
     byte past ASCII becomes a lone surrogate it rejects.  _parse_lines alone
@@ -396,8 +397,9 @@ def check_header(head: bytes, max_nodes: int | None) -> None:
     """parse's ResourceLimitError for a file whose first bytes, head, hold
     a whole first line of ASCII digits: a node count past max_nodes (None:
     no budget) or MAX_TREE_NODES.  compute checks it before it reads the
-    rest of the file.  Any other head is left to parse, a count past the
-    integer-to-string digit limit too, which parse reports as a ParseError."""
+    rest of its input, a file or a pipe.  Any other head is left to parse,
+    a count past the integer-to-string digit limit too, which parse
+    reports as a ParseError."""
     line, lf, _ = head.partition(b"\n")
     if lf and line.isdigit():
         try:
@@ -407,50 +409,57 @@ def check_header(head: bytes, max_nodes: int | None) -> None:
         _check_nodes(n, max_nodes)
 
 
-# serialize's exact form, [0-9]+\n(?:[0-9]+ [0-9]+\n)*, is checked as a
-# header line and then every LF followed by one edge line or by the end.
-# Matching the repeated group instead keeps backtracking state for every
-# line: some 20 MB on a 317,811-node text.
-# The patterns are compiled on first use, by re's cache: compiling them at
-# import would cost every command's start-up.
-_HEADER = rb"[0-9]+\n"
-_BAD_LINE = rb"\n(?![0-9]+ [0-9]+\n|\Z)"
-
 # Edge lines per format operation in serialize, and bytes, rounded up to
-# the end of a line, per json.loads in _parse_canonical, or characters per
-# splitlines in _lines: large enough that the cost per slice vanishes,
-# small enough that a slice's temporaries are a small part of a 3e5-node
-# tree.
+# the end of a line, per structure check and json.loads in
+# _parse_canonical, or characters per splitlines in _lines: large enough
+# that the cost per slice vanishes, small enough that a slice's temporaries
+# are a small part of a 3e5-node tree.
 _SERIALIZE_SLICE = 4096
 _PARSE_SLICE = 1 << 17
+
+# Spaces and LFs to commas, for one json.loads of a slice's ids.
+_COMMAS = bytes.maketrans(b" \n", b",,")
 
 
 def _parse_canonical(data: bytes, max_nodes: int | None = None):
     """The tree that bytes in serialize's form describe, or None for bytes
     in any other form or ones that are not a tree.
 
-    The header n comes from json.loads, which rejects leading zeros and
-    integers past the digit limit (None then), and the bytes must hold
-    exactly n LFs, n - 1 edge lines, and n must pass _check_nodes, before
-    anything is sized by n.  The edge lines are then read _PARSE_SLICE
-    bytes of whole lines at a time, each slice by one json.loads, with
-    every id checked below n, the parent ids scattered into parent[] at
-    the child ids, which are appended to kids.  Then, in bulk: one node
-    without a parent, so no child is repeated; and either every parent id
-    below its child's, or a walk from the root that reaches all n nodes, so
-    there is no cycle (the tree's bottom_up, which keeps the answer for
-    wiener_linear).  When the parent ids never fall from line to line, as
-    in every file serialize writes, the line order already groups kids and
-    the sort is skipped.
+    serialize's form is a header line of digits, then edge lines of two
+    digit runs split by one space, each line ending in LF; here every line
+    may instead end in CRLF, as the header's ending says.  The header n
+    comes from json.loads, which rejects leading zeros and integers past
+    the digit limit (None then), and the bytes must end with an LF and
+    hold exactly n LFs, n - 1 edge lines, and n must pass _check_nodes,
+    before anything is sized by n.  The edge lines are then read
+    _PARSE_SLICE bytes of whole lines at a time.  A slice with its digits
+    deleted must be the separators of its lines, " \n" (or " \r\n") once
+    per line, so every separator is in place; one translate then turns
+    them into commas for one json.loads, which refuses an empty field, a
+    leading zero, or a run past the digit limit.  Every id is checked below
+    n, the parent ids are scattered into parent[] at the child ids, which
+    are appended to kids.  Then, in bulk: one node without a parent, so no
+    child is repeated; and either every parent id below its child's, or a
+    walk from the root that reaches all n nodes, so there is no cycle (the
+    tree's bottom_up, which keeps the answer for wiener_linear).  When the
+    parent ids never fall from line to line, as in every file serialize
+    writes, the line order already groups kids and the sort is skipped.
     """
-    if re.match(_HEADER, data) is None or re.search(_BAD_LINE, data):
+    if not data.endswith(b"\n"):
+        return None
+    start = data.index(b"\n") + 1
+    header = data[:start - 1]
+    # The header's line ending is every line's: mixed endings are read
+    # line by line.
+    unit = b" \r\n" if header.endswith(b"\r") else b" \n"
+    header = header.removesuffix(b"\r")
+    if not header.isdigit():
         return None
     # Imported here: only parse needs json, and importing it at start-up
     # would cost every other command.
     import json
-    start = data.index(b"\n") + 1
     try:
-        n = json.loads(data[:start - 1])
+        n = json.loads(header)
     except ValueError:
         return None
     if data.count(b"\n") != n:
@@ -462,23 +471,39 @@ def _parse_canonical(data: bytes, max_nodes: int | None = None):
     final = len(data) - 1  # the last LF
     while start < len(data):
         end = data.find(b"\n", min(start + _PARSE_SLICE - 1, final)) + 1
-        try:
-            nums = json.loads(b"[" + data[start:end - 1].replace(b" ", b",").replace(b"\n", b",") + b"]")
-        except ValueError:
+        # The slice is taken without its final LF, so that no comma trails
+        # the ids, and taken twice, each copy a temporary, so that none is
+        # alive while json.loads runs.
+        gaps = data[start:end - 1].translate(None, b"0123456789") + b"\n"
+        if gaps != unit * (len(gaps) // len(unit)):
             return None
-        if max(nums) >= n:
+        del gaps
+        try:
+            nums = json.loads(b"[%b]" % data[start:end - 1].translate(_COMMAS, b"\r"))
+        except ValueError:
             return None
         children = nums[1::2]
         # setitem through map, not the bound parent.__setitem__, skips a
-        # method wrapper per line.
-        deque(map(setitem, repeat(parent), children, islice(nums, 0, None, 2)), 0)
+        # method wrapper per line.  It refuses a child id past n - 1 and
+        # any id past a C int; a parent id past n - 1 is refused below.
+        try:
+            deque(map(setitem, repeat(parent), children, islice(nums, 0, None, 2)), 0)
+        except (IndexError, OverflowError):
+            return None
         kids.fromlist(children)
-        if last is not None and last <= nums[0] and all(
-                map(le, islice(nums, 0, None, 2), islice(nums, 2, None, 2))):
-            last = nums[-2]
+        # Only the parent ids are kept, in place: a new list for them, or
+        # for the child ids alongside, left the heap more fragmented, and
+        # tree-io's peak RSS about 0.5 MB higher.
+        del children, nums[1::2]
+        # On a sorted run, sorted() makes one comparison per id in C, and
+        # the last id is the largest.
+        if last is not None and last <= nums[0] and nums == sorted(nums):
+            last = nums[-1]
         else:
             last = None
-        del nums, children
+        if (nums[-1] if last is not None else max(nums)) >= n:
+            return None
+        del nums
         start = end
     if parent.count(ROOT_PARENT) != 1:
         return None

@@ -677,10 +677,11 @@ def test_python_dash_m_entry_point():
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
 def test_compute_reads_a_pipe_whole():
-    # A pipe cannot be read again from its start, so compute reads it whole
-    # and leaves the header to parse: a tree within the budget reads as
-    # from a file, and a header past it behind a byte past ASCII gets the
-    # ParseError a whole read finds first.
+    # A pipe cannot be read again from its start, so compute joins the
+    # head it checked to the rest: a tree within the budget, short or past
+    # the head, reads as from a file, and a header past the budget is
+    # refused before the body, whose byte past ASCII a read of the whole
+    # input would report instead, as a ParseError.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -690,6 +691,11 @@ def test_compute_reads_a_pipe_whole():
         return proc.returncode, proc.stdout, proc.stderr
 
     assert compute(b"3\n0 1\n1 2\n") == (0, b"4\n", b"")
+    fib12 = b"".join(trees.serialize(trees.fibonacci_tree(12)))
+    assert len(fib12) > cli._HEADER_BYTES
+    assert compute(fib12) == (
+        0, b"%d\n" % cli.ROUTES["closed"](TreeFamily.FIBONACCI, 12), b"")
     big = trees.DEFAULT_NODE_BUDGET + 1
     assert compute(b"%d\n0 \xff\n" % big) == (
-        2, b"", b"error: line 2: expected ASCII decimal digits, found '\\udcff'\n")
+        2, b"", b"error: tree requires %d nodes, exceeding the budget of %d\n"
+        % (big, trees.DEFAULT_NODE_BUDGET))

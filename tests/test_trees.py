@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from array import array
@@ -251,7 +252,8 @@ def test_sliced_io_matches_one_piece(monkeypatch, lines):
     # serialize renders one, two or three edge lines per piece, and parse
     # reads slices of 1 to 18 characters rounded up to whole lines, so every
     # text crosses several slices and, for some size, a slice ends exactly
-    # on the last LF.  n = 0 is read line by line.
+    # on the last LF.  The bulk path reads the text with CRLF endings too.
+    # n = 0 is read line by line.
     cases = [binary_fibonacci_tree(0), RootedTree.single(),
              RootedTree.from_parents([None, 0]), binomial_tree(4),
              fibonacci_tree(6), binary_fibonacci_tree(6),
@@ -261,10 +263,11 @@ def test_sliced_io_matches_one_piece(monkeypatch, lines):
     for tree, want in zip(cases, expected):
         data = b"".join(serialize(tree))
         assert data == want
-        for chars in range(1, 19):
+        for chars, text in itertools.product(range(1, 19),
+                                             (data, data.replace(b"\n", b"\r\n"))):
             monkeypatch.setattr(trees, "_PARSE_SLICE", chars)
-            assert (_parse_canonical(data) is None) == (tree.n == 0)
-            back = parse(data)
+            assert (_parse_canonical(text) is None) == (tree.n == 0)
+            back = parse(text)
             assert (back.n, back.root, back.parent, back.kids) == (
                 tree.n, tree.root, tree.parent, tree.kids)
 
@@ -407,6 +410,53 @@ def test_parse_rejects_non_ascii_decimal(text, line):
     with pytest.raises(ParseError, match="expected ASCII decimal digits") as exc:
         parse(text)
     assert exc.value.line == line
+
+
+# Near misses of serialize's form.  Each is read line by line: the bulk
+# path returns None, and parse gives the line reader's tree or ParseError.
+@pytest.mark.parametrize("data", [
+    pytest.param(b"3\n0 1\n0 2.0\n", id="decimal-point"),
+    pytest.param(b"3\n0 1\n0 2e0\n", id="exponent"),
+    pytest.param(b"3e0\n0 1\n0 2\n", id="header-exponent"),
+    pytest.param(b"3\n0 1\n-1 2\n", id="minus"),
+    pytest.param(b"3\n0 1\n+1 2\n", id="plus"),
+    pytest.param(b"3\n0 1\n 0 2\n", id="leading-space"),
+    pytest.param(b"3\n0 1\n0  2\n", id="doubled-space"),
+    pytest.param(b"3\n0 1\n0 2 \n", id="trailing-space"),
+    pytest.param(b"3\r\n0 1 \r\n0 2\r\n", id="trailing-space-crlf"),
+    pytest.param(b"3\n0 1\n0 \n", id="empty-field"),
+    pytest.param(b"3\n0 1\n 2\n", id="empty-parent-field"),
+    pytest.param(b"3\n0 1\n0\t2\n", id="tab"),
+    pytest.param(b"3\n0 1\n\n", id="blank-line"),
+    pytest.param(b"3\n0 1\n\n0 2\n", id="blank-line-extra-lf"),
+    pytest.param(b"3\n0 1\n0 2", id="no-final-lf"),
+    pytest.param(b"1", id="no-lf"),
+    pytest.param(b"3\n0 1\n0 2\n1 2", id="unended-last-line"),
+    pytest.param(b"3\n0 1\r0 2\n", id="lone-cr"),
+    pytest.param(b"3\r\n0 1\r\r\n0 2\r\n", id="lone-cr-in-crlf"),
+    pytest.param(b"3\r\n0 1\r\n0 2\r", id="crlf-no-final-lf"),
+    pytest.param(b"3\n0 1\r\n0 2\r\n", id="lf-header-crlf-lines"),
+    pytest.param(b"3\r\n0 1\n0 2\r\n", id="crlf-header-lf-line"),
+    pytest.param(b"03\n0 1\n0 2\n", id="header-leading-zero"),
+    pytest.param(b"3\n0 1\n0 02\n", id="id-leading-zero"),
+    pytest.param(b"3\n0 1\n0 2147483648\n", id="id-2-31"),
+    pytest.param(b"3\n0 1\n2147483648 2\n", id="parent-id-2-31"),
+    pytest.param(b"3\n0 1\n3 2\n", id="parent-id-n"),
+    pytest.param(b"3\n0 1\n1 3\n", id="id-n"),
+    pytest.param(b"3\n0 1\n0 99999999999999999999\n", id="id-past-2-64"),
+])
+def test_parse_reads_near_misses_line_by_line(data):
+    assert _parse_canonical(data) is None
+    try:
+        want = _parse_lines(data.decode("ascii", "surrogateescape"))
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse(data)
+        assert (got.value.line, got.value.reason) == (exc.line, exc.reason)
+    else:
+        got = parse(data)
+        assert (got.n, got.root, got.parent, got.kids) == (
+            want.n, want.root, want.parent, want.kids)
 
 
 def test_parse_accepts_nonzero_root():
