@@ -62,9 +62,11 @@ MAX_SWEEP_ORDER = 2_500
 # MAX_BFS_NODES caps the tree the quadratic oracle searches, in compute
 # --algo bfs, verify and bench (which also keeps its --bfs-budget), and is
 # bench's default --bfs-budget.  Its n searches visit n^2 source-vertex
-# pairs, so its time grows with the square of the tree (seconds near the
-# cap; timings in CHANGES.md and BENCH_10.json).  verify still runs the
-# linear oracle on a tree past the cap and within --node-budget.
+# pairs, so its time grows with the square of the tree.  Near the cap
+# (Python 3.11, one run each): the 8192-node binomial tree 0.18 s, a
+# 10,000-node random tree 0.24 s, and a 10,000-node path, the slowest
+# shape measured, 25 s.  verify still runs the linear oracle on a tree
+# past the cap and within --node-budget.
 MAX_BFS_NODES = 10_000
 
 

@@ -136,20 +136,31 @@ class RootedTree:
         file generate writes, that is the ids counting down, a range;
         otherwise it is a walk from the root by child links, reversed.
         Worked out on first use and kept, so the check that parse makes
-        serves wiener_linear."""
+        serves wiener_linear.  Empty, with no walk, unless exactly one node
+        has no parent: kids then lists some child twice, as after parse
+        reads one child on two lines, and a walk would visit its subtree
+        once per listing, which can take time exponential in n."""
         if self._bottom_up is None:
             if _parents_first(self.parent):
                 self._bottom_up = range(self.n - 1, 0, -1)
+            elif self.parent.count(ROOT_PARENT) != 1:
+                self._bottom_up = []
             else:
-                children = self.children
-                order = []
-                stack = [self.root] if self.n else []
-                while stack:
-                    u = stack.pop()
-                    order.append(u)
-                    stack.extend(children[u])
-                self._bottom_up = order[:0:-1]
+                self._bottom_up = self.preorder()[:0:-1]
         return self._bottom_up
+
+    def preorder(self) -> list:
+        """The nodes a walk from the root reaches by child links, each
+        before its children and its subtree in one run; a node's children
+        are taken right to left."""
+        children = self.children
+        order = []
+        stack = [self.root] if self.n else []
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            stack.extend(children[u])
+        return order
 
     def degree(self, v: int) -> int:
         return len(self.children[v]) + (self.parent[v] != ROOT_PARENT)
@@ -169,10 +180,14 @@ def _grouped(parent: array, root, order) -> RootedTree:
 
 
 def _parents_first(parent: array) -> bool:
-    """Whether node 0 is the root and every other node's parent has a
-    smaller id; then no parent chain can close a cycle."""
-    return (len(parent) > 0 and parent[0] == ROOT_PARENT
-            and all(map(lt, islice(parent, 1, None), count(1))))
+    """Whether node 0 is the root and every other node's parent is a node
+    with a smaller id; then node 0 is the only root, and no parent chain
+    can close a cycle.  The ids are compared as unsigned ints, as which
+    ROOT_PARENT reads 2**32 - 1, past every id."""
+    if len(parent) == 0 or parent[0] != ROOT_PARENT:
+        return False
+    with memoryview(parent).cast("B").cast("I") as ids:
+        return all(map(lt, islice(ids, 1, None), count(1)))
 
 
 def _check_nodes(n: int, max_nodes) -> None:
@@ -438,12 +453,13 @@ def _parse_canonical(data: bytes, max_nodes: int | None = None):
     them into commas for one json.loads, which refuses an empty field, a
     leading zero, or a run past the digit limit.  Every id is checked below
     n, the parent ids are scattered into parent[] at the child ids, which
-    are appended to kids.  Then, in bulk: one node without a parent, so no
-    child is repeated; and either every parent id below its child's, or a
-    walk from the root that reaches all n nodes, so there is no cycle (the
-    tree's bottom_up, which keeps the answer for wiener_linear).  When the
-    parent ids never fall from line to line, as in every file serialize
-    writes, the line order already groups kids and the sort is skipped.
+    are appended to kids.  Then, in bulk, the tree's bottom_up, which
+    keeps the answer for wiener_linear: either every parent id below its
+    child's, which leaves node 0 the one node without a parent, or one node
+    without a parent, so no child is repeated, and a walk from it that
+    reaches all n nodes, so there is no cycle.  When the parent ids never
+    fall from line to line, as in every file serialize writes, the line
+    order already groups kids and the sort is skipped.
     """
     if not data.endswith(b"\n"):
         return None
@@ -505,8 +521,6 @@ def _parse_canonical(data: bytes, max_nodes: int | None = None):
             return None
         del nums
         start = end
-    if parent.count(ROOT_PARENT) != 1:
-        return None
     root = parent.index(ROOT_PARENT)
     tree = RootedTree(n, root, parent, kids) if last is not None else _grouped(parent, root, kids)
     if len(tree.bottom_up()) != n - 1:

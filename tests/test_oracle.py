@@ -1,10 +1,17 @@
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
 from treewiener.errors import EmptyTreeError, UnknownNodeError
-from treewiener.oracle import SOURCES_PER_SWEEP, distance_sum, wiener_bfs, wiener_linear
+from treewiener.oracle import (
+    SOURCES_PER_SWEEP,
+    _distance_total,
+    distance_sum,
+    wiener_bfs,
+    wiener_linear,
+)
 from treewiener.trees import (
     RootedTree,
     binary_fibonacci_tree,
@@ -49,11 +56,27 @@ def test_sweeps_match_one_search_at_a_time(kind, n):
         sums = [bfs_distance_sum(adj, v, n) for v in range(n)]
         assert [distance_sum(t, v) for v in range(n)] == sums
         assert wiener_bfs(t) * 2 == sum(sums)
+        # Any order of sources and any starts give the same total: shuffled
+        # sources all starting at once, and at random steps, some past the
+        # end of every other search in the sweep.
+        shuffled = rng.sample(range(n), n)
+        for starts in ([0] * n, [rng.randrange(n + 2) for _ in range(n)]):
+            assert _distance_total(t, shuffled, starts) == sum(sums)
+
+
+def test_bfs_refuses_a_second_root():
+    # Each search meets only its own root's component, so the arrivals
+    # fall short of n - 1 per search.
+    two_roots = RootedTree(2, 0, array("i", [-1, -1]), array("i"))
+    with pytest.raises(ValueError, match="not connected"):
+        wiener_bfs(two_roots)
+    with pytest.raises(ValueError, match="not connected"):
+        distance_sum(two_roots, 1)
 
 
 def test_sweep_memory_stays_small():
     # A sweep keeps an int of up to SOURCES_PER_SWEEP bits per vertex, so
-    # the width sets the oracle's memory: 0.65 MB here at 512, 1.01 MB at 1024.
+    # the width sets the oracle's memory: 0.65 MB here at 512, 0.89 MB at 1024.
     tree = fibonacci_tree(16)  # 2584 vertices
     tracemalloc.start()
     try:

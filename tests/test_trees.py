@@ -444,6 +444,7 @@ def test_parse_rejects_non_ascii_decimal(text, line):
     pytest.param(b"3\n0 1\n3 2\n", id="parent-id-n"),
     pytest.param(b"3\n0 1\n1 3\n", id="id-n"),
     pytest.param(b"3\n0 1\n0 99999999999999999999\n", id="id-past-2-64"),
+    pytest.param(b"3\n0 1\n0 1\n", id="repeated-child"),
 ])
 def test_parse_reads_near_misses_line_by_line(data):
     assert _parse_canonical(data) is None
@@ -457,6 +458,21 @@ def test_parse_reads_near_misses_line_by_line(data):
         got = parse(data)
         assert (got.n, got.root, got.parent, got.kids) == (
             want.n, want.root, want.parent, want.kids)
+
+
+def test_preorder_puts_each_subtree_in_one_run():
+    # Children right to left, as the stack pops them.
+    tree = RootedTree.from_parents([None, 0, 0, 1, 1, 2])
+    assert tree.preorder() == [0, 2, 5, 1, 4, 3]
+    assert RootedTree.empty().preorder() == []
+
+
+def test_parents_first_refuses_a_second_root():
+    # ROOT_PARENT past node 0 is below its node's id but is not a parent:
+    # bottom_up must not take the ids counting down for all n - 1 nodes.
+    parent = array("i", [ROOT_PARENT, 0, ROOT_PARENT])
+    assert not trees._parents_first(parent)
+    assert len(RootedTree(3, 0, parent, array("i", [1, 1])).bottom_up()) != 2
 
 
 def test_parse_accepts_nonzero_root():
