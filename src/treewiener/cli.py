@@ -48,16 +48,19 @@ FAMILY_CHOICES = [f.value for f in TreeFamily]
 # bits.  At the cap a Fibonacci closed form (k near 4.2 million) takes
 # seconds, and the binomial one is a shift.
 MAX_RESULT_BITS = 1 << 23
-# MAX_LINEAR_ORDER caps k for the O(k) routes, recurrence and replay, whose
-# integers grow with k, so that their time grows like k^2: replay takes tens
-# of seconds at the cap.  It also caps the order of generate, whose node
-# count (2^k or a Fibonacci number near phi^k) is computed before the node
-# budget can refuse it.
+# MAX_LINEAR_ORDER caps k for the recurrence and replay routes.  The
+# recurrence's O(k) additions on integers that grow with k take time that
+# grows like k^2: 0.3-2.0 s at the cap.  Replay takes 0.03-0.08 s there
+# (Python 3.11, one run per family, decimal output included) and keeps the
+# cap, so both routes refuse the same orders.  It also caps the order of
+# generate, whose node count (2^k or a Fibonacci number near phi^k) is
+# computed before the node budget can refuse it.
 MAX_LINEAR_ORDER = 50_000
 # MAX_SWEEP_ORDER caps the --max-order K of verify and bench, whose sweep
-# runs recurrence and replay from scratch at every order up to K, so that
-# its time grows like K^3: the slowest family's sweep, binary Fibonacci,
-# stays under 30 s at the cap (timings in CHANGES.md).
+# runs the recurrence from scratch at every order up to K, so that its time
+# grows like K^3; replay costs O(log k) multiplications per order.  The
+# slowest family's sweep, binary Fibonacci, takes about 8 s at the cap
+# (Python 3.11, one run; 29 s when replay ran its O(k) joins).
 MAX_SWEEP_ORDER = 2_500
 # MAX_BFS_NODES caps the tree the quadratic oracle searches, in compute
 # --algo bfs, verify and bench (which also keeps its --bfs-budget), and is
@@ -83,7 +86,7 @@ def _check_order(k: int, cap: int, what: str, capped: str) -> None:
 ROUTES = {
     "closed": lambda family, k: family.spec.closed(k),
     "recurrence": lambda family, k: family.spec.recurrence(k),
-    "replay": lambda family, k: compose.replay_family(family, k).w,
+    "replay": lambda family, k: compose.replay_w(family, k),
 }
 
 
@@ -172,7 +175,7 @@ def cmd_closed_form(args) -> int:
                 f"order {k} exceeds the cap on the closed form's result: W may "
                 f"need {bits} bits, more than {MAX_RESULT_BITS}")
     else:
-        _check_order(k, MAX_LINEAR_ORDER, "order", "the O(k) recurrence and replay routes")
+        _check_order(k, MAX_LINEAR_ORDER, "order", "the recurrence and replay routes")
     value = _decimal(ROUTES[args.method](family, k))
     if args.json:
         import json

@@ -1,10 +1,10 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import pytest
 
@@ -85,6 +85,49 @@ def test_closed_form_divisibility_violation_exits_3(capsys, monkeypatch,
     assert "internal error" in err
 
 
+@pytest.fixture
+def fresh_replay_recurrences():
+    """Forget the replay route's cached recurrences before and after, so
+    that the test builds them under its own replacements."""
+    compose._replay_recurrence.cache_clear()
+    yield
+    compose._replay_recurrence.cache_clear()
+
+
+def test_closed_form_replay_inexact_recurrence_exits_3(capsys, monkeypatch,
+                                                        fresh_replay_recurrences):
+    # A replayed W that halves at each order has the recurrence W(k) =
+    # W(k-1) / 2, which the integer Berlekamp-Massey refuses.
+    monkeypatch.setattr(compose, "replay_family",
+                        lambda family, k: compose.TreeSummary(2, 2 ** (64 - k), 1))
+    rc, _, err = run_cli(capsys, ["closed-form", "--family", "binary-fibonacci",
+                                  "--order", "40", "--method", "replay"])
+    assert rc == 3
+    assert "internal error" in err
+
+
+def test_replay_route_calls_no_formula(monkeypatch, fresh_replay_recurrences):
+    # replay stays independent of closed and recurrence: every function in
+    # formulas refuses, and the route, its recurrences built afresh, still
+    # gives the closed forms' values below, at and past its seeds.
+    def refuse(name):
+        def fn(*args):
+            raise AssertionError(f"{name}{args} called")
+        return fn
+
+    orders = {family: [*range(family.spec.min_summary_order, 50), 500, 3000]
+              for family in TreeFamily}
+    expected = {(family, k): family.spec.closed(k)
+                for family, ks in orders.items() for k in ks}
+    for name, fn in vars(formulas).items():
+        if inspect.isfunction(fn):
+            monkeypatch.setattr(formulas, name, refuse(name))
+    with pytest.raises(AssertionError, match="called"):
+        TreeFamily.FIBONACCI.spec.closed(5)
+    assert {(family, k): cli.ROUTES["replay"](family, k)
+            for family, ks in orders.items() for k in ks} == expected
+
+
 def test_closed_form_out_of_memory_exits_2(capsys, monkeypatch):
     # The evaluator raises MemoryError itself; nothing large is allocated.
     monkeypatch.setattr(formulas, "wiener_fib_closed", _raises(MemoryError()))
@@ -140,7 +183,7 @@ def test_order_caps_refuse_just_past_their_bounds(capsys, monkeypatch):
     monkeypatch.setattr(formulas, "wiener_binomial", lambda k: 0)
     monkeypatch.setattr(formulas, "wiener_fib", lambda k: 0)
     monkeypatch.setattr(formulas, "wiener_fib_closed", lambda k: 0)
-    monkeypatch.setattr(compose, "replay_family", lambda family, k: SimpleNamespace(w=0))
+    monkeypatch.setattr(compose, "replay_w", lambda family, k: 0)
     top = max(k for k in range(cli.MAX_RESULT_BITS // 2 - 32, cli.MAX_RESULT_BITS // 2)
               if 2 * k + k.bit_length() <= cli.MAX_RESULT_BITS)
     cases = [("binomial", "closed", top), ("fibonacci", "recurrence", cli.MAX_LINEAR_ORDER)]
@@ -166,8 +209,7 @@ def test_sweep_past_digit_limit_exits_2(capsys, monkeypatch, command, extra):
     huge = 10 ** DIGIT_LIMIT
     monkeypatch.setattr(formulas, "wiener_binomial", lambda k: huge)
     monkeypatch.setattr(formulas, "wiener_binomial_recurrence", lambda k: huge)
-    monkeypatch.setattr(compose, "replay_family",
-                        lambda family, k: SimpleNamespace(w=huge))
+    monkeypatch.setattr(compose, "replay_w", lambda family, k: huge)
     rc, out, err = run_cli(capsys, [command, "--family", "binomial",
                                     "--max-order", "2", "--node-budget", "0"]
                            + extra)
@@ -519,22 +561,15 @@ def _off_by_one_at_order_3(module, name):
     """Replace module.name by a copy whose W is one too high on the order-3
     binomial tree (8 nodes) and right everywhere else."""
     right = getattr(module, name)
-    if module is formulas:
-        return lambda k: right(k) + (k == 3)
-    if module is compose:
-        # The join that builds the 8-node tree is the last one of the order-3
-        # replay, the top order of the sweep, so only that row is off.
-        def join(a, b):
-            s = right(a, b)
-            return s._replace(w=s.w + (s.n == 8))
-        return join
-    return lambda tree: right(tree) + (tree.n == 8)
+    if module is oracle:
+        return lambda tree: right(tree) + (tree.n == 8)
+    return lambda *args: right(*args) + (args[-1] == 3)
 
 
 @pytest.mark.parametrize("module,name", [
     (formulas, "wiener_binomial"),
     (formulas, "wiener_binomial_recurrence"),
-    (compose, "join"),
+    (compose, "replay_w"),
     (oracle, "wiener_linear"),
     (oracle, "wiener_bfs"),
 ], ids=["closed", "recurrence", "replay", "linear", "bfs"])

@@ -2,8 +2,16 @@ import random
 
 import pytest
 
-from treewiener.compose import SINGLE, TreeSummary, identify, join, replay_family
-from treewiener.errors import InvalidOrderError
+from treewiener.compose import (
+    SINGLE,
+    TreeSummary,
+    _minimal_recurrence,
+    identify,
+    join,
+    replay_family,
+    replay_w,
+)
+from treewiener.errors import InvalidOrderError, NotDivisibleError
 from treewiener.oracle import distance_sum, wiener_bfs
 from treewiener.trees import TreeFamily, generate, node_count
 
@@ -132,3 +140,23 @@ def test_replay_summaries_respect_coarse_bounds():
             s = replay_family(family, k)
             assert s.d_anchor <= (s.n - 1) ** 2
             assert s.w <= (s.n**3 - s.n) // 6
+
+
+def test_replay_w_equals_replay_family():
+    for family in TreeFamily:
+        floor = family.spec.min_summary_order
+        for k in [*range(floor, floor + 201), 1000, 3000]:
+            assert replay_w(family, k) == replay_family(family, k).w, f"{family.value} k={k}"
+        with pytest.raises(InvalidOrderError):
+            replay_w(family, floor - 1)
+
+
+def test_minimal_recurrence():
+    assert _minimal_recurrence([0, 1, 1, 2, 3, 5, 8, 13]) == [1, 1]
+    assert _minimal_recurrence([1, 3, 9, 27, 81, 243]) == [3]
+    assert _minimal_recurrence([1, 2, 3, 4, 5, 6]) == [2, -1]
+    assert _minimal_recurrence([5, 0, 0, 0, 0, 0]) == [0]
+    assert _minimal_recurrence([0, 0, 0, 5, 0, 0, 0]) == [0, 0, 0, 5]
+    # Each term half the last: the one coefficient is 1/2.
+    with pytest.raises(NotDivisibleError):
+        _minimal_recurrence([4, 2, 1])

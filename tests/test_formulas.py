@@ -4,8 +4,8 @@ from functools import partial
 
 import pytest
 
-from treewiener import compose
-from treewiener.compose import replay_family
+from treewiener import cli, compose
+from treewiener.compose import LIFT_DIM, replay_family, replay_w
 from treewiener.errors import InvalidOrderError
 from treewiener.exact import fib
 from treewiener.formulas import (
@@ -380,6 +380,65 @@ def test_fibonacci_closed_forms_equal_recurrences_finite_proof():
     assert (len(p_f) - 1, len(p_b) - 1, len(r_b) - 1) == (8, 10, 13)
 
 
+def test_closed_forms_equal_replay_finite_proof():
+    """closed == replay at every order, by a finite check, for the three W
+    closed forms and the two Fibonacci D closed forms.
+
+    Replay side.  From one order above min_summary_order, W and D of
+    replay_family are coordinates of the lift in the treewiener.compose
+    docstring, so each obeys a linear recurrence of order at most
+    LIFT_DIM; Berlekamp-Massey on 2 * LIFT_DIM values returns the minimal
+    one, which replay_w then follows at every order, so replay_w obeys it
+    by construction.  The test runs Berlekamp-Massey on D too and checks
+    the bound on both.
+
+    Closed side.  Each closed form sums terms p(k) * r^k, and a root r
+    with p of degree 1 is double, so A annihilates it from order `since`:
+        binomial W = (k-1) 2^(2k-1) + 2^(k-1):  (x-4)^2 (x-2), degree 3
+        Fibonacci W:         P_F, degree 8 (see the recurrence proof above)
+        binary Fibonacci W:  P_B, degree 10
+        Fibonacci D = (k F(k+2) + (k+2) F(k)) / 5:  (x^2-x-1)^2, degree 4
+        binary Fibonacci D = ((k-3) F(k+3) + 2(k-2) F(k+2)) / 5 + 2:
+                             (x^2-x-1)^2 (x-1), degree 5
+
+    closed - replay therefore obeys a recurrence of order at most
+    LIFT_DIM + deg A from max(one order above the floor, since) on, and is
+    zero everywhere once it is zero on that many consecutive orders.  The
+    orders below that window, from the closed form's own floor, are among
+    those compared.  Order 5000 is compared as well, with D taken from its
+    recurrence by compose._nth_term.
+    """
+    p_f = _poly_mul(X2_3X_1, X2_3X_1, X_PLUS_1, X_PLUS_1, X2_X_1)
+    p_b = _poly_mul(p_f, X2_X_1)
+    # (family, closed form, summary field, closed form's floor, A, since)
+    cases = [
+        (TreeFamily.BINOMIAL, wiener_binomial, "w", 0, _poly_mul([1, -4], [1, -4], [1, -2]), 0),
+        (TreeFamily.FIBONACCI, wiener_fib_closed, "w", -1, p_f, 1),
+        (TreeFamily.BINARY_FIBONACCI, wiener_binfib_closed, "w", 1, p_b, 1),
+        (TreeFamily.FIBONACCI, d_fib, "d_anchor", 0, _poly_mul(X2_X_1, X2_X_1), 0),
+        (TreeFamily.BINARY_FIBONACCI, d_binfib, "d_anchor", 1,
+         _poly_mul(X2_X_1, X2_X_1, X_MINUS_1), 1),
+    ]
+    for family, closed, field, floor, annihilator, since in cases:
+        start = family.spec.min_summary_order + 1
+        seeds = [getattr(replay_family(family, k), field)
+                 for k in range(start, start + 2 * LIFT_DIM)]
+        rec = compose._minimal_recurrence(seeds)
+        assert len(rec) <= LIFT_DIM
+        window = max(start, since)
+        orders = range(floor, window + LIFT_DIM + len(annihilator) - 1)
+        closed_values = [closed(k) for k in orders]
+        if field == "w":
+            assert rec == compose._replay_recurrence(family)[2]
+            replayed = [replay_w(family, k) for k in orders]
+        else:
+            replayed = [getattr(replay_family(family, k), field) for k in orders]
+        assert closed_values == replayed, f"{closed.__name__}"
+        assert _annihilates(annihilator, closed_values[since - floor:])
+        assert closed(5000) == compose._nth_term(seeds, rec, 5000 - start)
+    assert [len(compose._replay_recurrence(f)[2]) for f in TreeFamily] == [3, 8, 10]
+
+
 # ---------------------------------------------------------------------------
 # Arithmetic cost of every route to W
 # ---------------------------------------------------------------------------
@@ -433,10 +492,18 @@ def test_count_arithmetic_counts_chosen_operators():
     assert count_arithmetic(step, 2, operators={"//"}) == 0
 
 
+def _monitoring_tools():
+    """The sys.monitoring tool ids in use, by name (none before 3.12)."""
+    if not hasattr(sys, "monitoring"):
+        return []
+    return [sys.monitoring.get_tool(i) for i in range(6)]
+
+
 def test_count_arithmetic_restores_the_tracer():
     def outer(frame, event, arg):
         return None
 
+    tools = _monitoring_tools()
     before = sys.gettrace()
     sys.settrace(outer)
     try:
@@ -445,10 +512,12 @@ def test_count_arithmetic_restores_the_tracer():
         with pytest.raises(InvalidOrderError):
             count_arithmetic(wiener_fib, -2)
         assert sys.gettrace() is outer
+        assert _monitoring_tools() == tools
     finally:
         sys.settrace(before)
     count_arithmetic(wiener_fib, 5)
     assert sys.gettrace() is before
+    assert _monitoring_tools() == tools
 
 
 def test_count_arithmetic_catches_a_superlinear_evaluator():
@@ -498,3 +567,16 @@ def test_replay_multiplies_twice_per_join(monkeypatch):
             products = count_arithmetic(replay_family, family, k, operators={"*"})
             assert joins >= k - 1
             assert products == 2 * joins, f"{family.value} k={k}: {products}, {joins} joins"
+
+
+def test_replay_route_multiplies_logarithmically():
+    # Each doubling of k adds one squaring mod the recurrence's polynomial,
+    # at most 2 L^2 products with L <= LIFT_DIM; replay_family's two per
+    # join would add 2k.  The recurrence is built before counting.
+    for family in TreeFamily:
+        route = partial(cli.ROUTES["replay"], family)
+        route(1000)
+        counts = [count_arithmetic(route, k, operators={"*"})
+                  for k in (1000, 2000, 4000, 8000, 16000)]
+        steps = [b - a for a, b in zip(counts, counts[1:])]
+        assert all(0 < step <= 2 * LIFT_DIM ** 2 for step in steps), f"{family.value}: {counts}"
