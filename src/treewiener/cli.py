@@ -30,10 +30,10 @@ from treewiener.errors import (
 from treewiener.trees import (
     DEFAULT_NODE_BUDGET,
     TreeFamily,
-    check_header,
     generate,
     node_count,
     parse,
+    read_edge_list,
     serialize,
 )
 
@@ -60,7 +60,7 @@ MAX_LINEAR_ORDER = 50_000
 # runs the recurrence from scratch at every order up to K, so that its time
 # grows like K^3; replay costs O(log k) multiplications per order.  The
 # slowest family's sweep, binary Fibonacci, takes about 8 s at the cap
-# (Python 3.11, one run; 29 s when replay ran its O(k) joins).
+# (Python 3.11, one run).
 MAX_SWEEP_ORDER = 2_500
 # MAX_BFS_NODES caps the tree the quadratic oracle searches, in compute
 # --algo bfs, verify and bench (which also keeps its --bfs-budget), and is
@@ -197,26 +197,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-# The bytes compute reads first, for the header: room for any node count
-# an 'i' array holds, with leading zeros.
-_HEADER_BYTES = 64
-
-
 def cmd_compute(args) -> int:
-    # The header is checked first, on a pipe too, so a header past the
-    # budget costs no read of the rest; a head that does not hold the
-    # whole header line, as a pipe's first read may not, is left to parse.
-    # Unbuffered, so read() returns the rest as one bytes object: a file
-    # is read again from its start, with no buffered head joined to it; a
-    # pipe cannot be, so its head is.
-    with open(args.input, "rb", buffering=0) as fh:
-        head = fh.read(_HEADER_BYTES)
-        check_header(head, args.max_nodes)
-        if fh.seekable():
-            fh.seek(0)
-            data = fh.read()
-        else:
-            data = head + fh.read()
+    data = read_edge_list(args.input, args.max_nodes)
     tree = parse(data, max_nodes=args.max_nodes)
     del data  # not held while the tree is walked
     if args.algo == "bfs" and tree.n > MAX_BFS_NODES:

@@ -103,25 +103,19 @@ def join(a: TreeSummary, b: TreeSummary) -> TreeSummary:
     )
 
 
-def _join_nonempty(a: TreeSummary, b) -> TreeSummary:
-    """join(a, b), where b = None, the empty tree, leaves a as it is; join
-    is looked up at call time, so replacing it reaches replay."""
-    return a if b is None else join(a, b)
-
-
 def replay_family(family, k: int) -> TreeSummary:
     """Summary of the order-k tree of a trees.TreeFamily (anchor = root).
 
-    The family's FamilySpec.build on summaries: the single vertex at
-    min_summary_order, None, the empty tree, one order below it, and the
-    grow rule once per order up to k: O(k) joins.
+    The family's FamilySpec.build on summaries, from the single vertex at
+    min_summary_order: O(k) joins.  join is looked up at each call, so
+    replacing the module attribute reaches replay.
     """
     floor = family.spec.min_summary_order
     if k < floor:
         raise InvalidOrderError(
             f"{family.value} summaries need order >= {floor}, got {k}"
         )
-    return family.spec.build(k, _join_nonempty, SINGLE, None)
+    return family.spec.build(k, join, SINGLE)
 
 
 def _minimal_recurrence(values) -> list:

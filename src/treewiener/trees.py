@@ -11,14 +11,13 @@ All three families are ordered trees built by a recursive composition rule:
   as left subtree and the order-(k-2) tree as right subtree; F(k+2) - 1
   nodes (order 0 is the empty tree, order 1 a single node).
 
-Each rule is written once, as the family's FamilySpec.grow, over a join,
-a single tree and an empty tree that the caller supplies, and one loop,
-FamilySpec.build, runs it order by order, never recursively.  generate
-builds typed arrays of parent ids and grouped children, joined by
-concatenation, so order is limited only by the node budget, not call
-depth, and each join puts the new child where the spec's leftmost flag
-says, so no sort is needed.  compose.replay_family builds (n, W, D)
-summaries with the same loop.
+Each rule is written once, as the family's FamilySpec.grow, over a join
+and a single tree that the caller supplies, and one loop, FamilySpec.build,
+runs it order by order, never recursively.  generate builds typed arrays
+of parent ids and grouped children, joined by concatenation, so order is
+limited only by the node budget, not call depth, and each join puts the
+new child where the spec's leftmost flag says, so no sort is needed.
+compose.replay_family builds (n, W, D) summaries with the same loop.
 """
 
 import re
@@ -107,9 +106,8 @@ class RootedTree:
         for v, p in enumerate(parents):
             if p is not None and not 0 <= p < n:
                 raise ValueError(f"parent id {p} of node {v} out of range")
-        root = parents.index(None)
         parent = array("i", [ROOT_PARENT if p is None else p for p in parents])
-        tree = _grouped(parent, root, (v for v in range(n) if v != root))
+        tree = _finish(parent, (v for v, p in enumerate(parents) if p is not None), False)
         if len(tree.bottom_up()) != n - 1:
             raise ValueError("parent list does not describe a connected tree")
         return tree
@@ -172,11 +170,15 @@ class RootedTree:
         return f"RootedTree(n={self.n}, root={self.root})"
 
 
-def _grouped(parent: array, root, order) -> RootedTree:
-    """The tree on parent, with kids grouped by parent and, within a group,
-    in the order `order` lists them (one stable sort)."""
-    return RootedTree(len(parent), root, parent,
-                      array("i", sorted(order, key=parent.__getitem__)))
+def _finish(parent: array, kids, grouped: bool) -> RootedTree:
+    """The tree on parent, rooted at its one ROOT_PARENT entry, whose
+    non-root nodes kids lists, each group in child order.  kids is kept as
+    it is when grouped says the parent ids never fall along it, as in every
+    file generate writes; otherwise one stable sort by parent id groups it,
+    at the cost of boxing every id twice."""
+    if not grouped:
+        kids = array("i", sorted(kids, key=parent.__getitem__))
+    return RootedTree(len(parent), parent.index(ROOT_PARENT), parent, kids)
 
 
 def _parents_first(parent: array) -> bool:
@@ -230,11 +232,8 @@ def _attach(leftmost: bool, tree, sub):
     first child when leftmost, else its last.  Node 0's group leads kids,
     so the new child goes in at the start or the end of it; tree's other
     groups follow, then sub's, shifted, whose parent ids are now the
-    largest, so kids stays grouped without a sort.  An empty sub (None)
-    adds nothing.  Neither argument is changed, so one single tree serves
-    every order of a build."""
-    if sub is None:
-        return tree
+    largest, so kids stays grouped without a sort.  Neither argument is
+    changed, so one single tree serves every order of a build."""
     parent, kids, degree = tree
     sub_parent, sub_kids, _ = sub
     off = len(parent)
@@ -291,15 +290,20 @@ class FamilySpec(NamedTuple):
     leftmost: bool = False
     verify_note: str | None = None
 
-    def build(self, k: int, join, single, empty):
+    def build(self, k: int, join, single):
         """The order-k tree, for k >= min_summary_order, in the algebra of
-        join, single and empty: single at min_summary_order, empty one order
-        below, and grow once per order above, never recursively.  The one
-        loop that runs grow: generate runs it on (parent, kids, root
-        degree) arrays and compose.replay_family on (n, W, D) summaries."""
-        prev, cur = empty, single  # orders i-2 and i-1
+        join and single: single at min_summary_order, None, the empty tree,
+        one order below it, and grow once per order above, never
+        recursively.  grow is handed a join that leaves a as it is when b is
+        None, so no algebra has an empty tree.  The one loop that runs
+        grow: generate runs it on (parent, kids, root degree) arrays and
+        compose.replay_family on (n, W, D) summaries."""
+        def join_nonempty(a, b):
+            return a if b is None else join(a, b)
+
+        prev, cur = None, single  # orders i-2 and i-1
         for _ in range(k - self.min_summary_order):
-            prev, cur = cur, self.grow(join, single, prev, cur)
+            prev, cur = cur, self.grow(join_nonempty, single, prev, cur)
         return cur
 
 
@@ -355,7 +359,7 @@ def generate(family: TreeFamily, k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -
     if k < spec.min_summary_order:
         return RootedTree.empty()
     single = (array("i", [ROOT_PARENT]), array("i"), 0)
-    parent, kids, _ = spec.build(k, partial(_attach, spec.leftmost), single, None)
+    parent, kids, _ = spec.build(k, partial(_attach, spec.leftmost), single)
     return RootedTree(n, 0, parent, kids)
 
 
@@ -408,20 +412,33 @@ def parse(text: bytes | str, max_nodes: int | None = None) -> RootedTree:
     return _parse_lines(text, max_nodes)
 
 
-def check_header(head: bytes, max_nodes: int | None) -> None:
-    """parse's ResourceLimitError for a file whose first bytes, head, hold
-    a whole first line of ASCII digits: a node count past max_nodes (None:
-    no budget) or MAX_TREE_NODES.  compute checks it before it reads the
-    rest of its input, a file or a pipe.  Any other head is left to parse,
-    a count past the integer-to-string digit limit too, which parse
-    reports as a ParseError."""
-    line, lf, _ = head.partition(b"\n")
-    if lf and line.isdigit():
-        try:
-            n = int(line)
-        except ValueError:
-            return
-        _check_nodes(n, max_nodes)
+# The bytes read_edge_list reads first, for the header: room for any node
+# count an 'i' array holds, with leading zeros, and far below the smallest
+# integer-to-string digit limit the interpreter accepts (640).
+_HEADER_BYTES = 64
+
+
+def read_edge_list(path, max_nodes: int | None) -> bytes:
+    """The bytes of the edge-list file or pipe at path, for parse.
+
+    The first _HEADER_BYTES are read first, and a whole first line of ASCII
+    digits in them is checked as parse checks the header: a node count
+    past max_nodes (None: no budget) or MAX_TREE_NODES raises
+    ResourceLimitError before the rest is read.  Any other head, such as a
+    pipe's first read that stops inside the header line, is left to parse.
+    Unbuffered, so read() returns the rest as one bytes object: a file is
+    read again from its start, with no head joined to it; a pipe cannot
+    be, so its head is.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        head = fh.read(_HEADER_BYTES)
+        line, lf, _ = head.partition(b"\n")
+        if lf and line.isdigit():
+            _check_nodes(int(line), max_nodes)
+        if fh.seekable():
+            fh.seek(0)
+            return fh.read()
+        return head + fh.read()
 
 
 # Edge lines per format operation in serialize, and bytes, rounded up to
@@ -457,9 +474,8 @@ def _parse_canonical(data: bytes, max_nodes: int | None = None):
     keeps the answer for wiener_linear: either every parent id below its
     child's, which leaves node 0 the one node without a parent, or one node
     without a parent, so no child is repeated, and a walk from it that
-    reaches all n nodes, so there is no cycle.  When the parent ids never
-    fall from line to line, as in every file serialize writes, the line
-    order already groups kids and the sort is skipped.
+    reaches all n nodes, so there is no cycle.  _finish groups kids, with
+    no sort when the parent ids never fall from line to line.
     """
     if not data.endswith(b"\n"):
         return None
@@ -521,8 +537,7 @@ def _parse_canonical(data: bytes, max_nodes: int | None = None):
             return None
         del nums
         start = end
-    root = parent.index(ROOT_PARENT)
-    tree = RootedTree(n, root, parent, kids) if last is not None else _grouped(parent, root, kids)
+    tree = _finish(parent, kids, last is not None)
     if len(tree.bottom_up()) != n - 1:
         return None
     return tree
@@ -658,8 +673,5 @@ def _parse_lines(text: str, max_nodes: int | None = None) -> RootedTree:
             f"tree on {n} nodes needs {n - 1} edges, found {edges}"
             + (" (disconnected or multiple roots)" if edges < n - 1 else ""),
         )
-    # n-1 edges, no cycle, unique parents: exactly one root remains.  When
-    # the parent ids never fell, the line order already groups kids, and
-    # the sort, which boxes every id twice, is skipped.
-    root = parent.index(ROOT_PARENT)
-    return RootedTree(n, root, parent, kids) if last is not None else _grouped(parent, root, kids)
+    # n-1 edges, no cycle, unique parents: exactly one root remains.
+    return _finish(parent, kids, last is not None)

@@ -727,7 +727,7 @@ def test_compute_reads_a_pipe_whole():
 
     assert compute(b"3\n0 1\n1 2\n") == (0, b"4\n", b"")
     fib12 = b"".join(trees.serialize(trees.fibonacci_tree(12)))
-    assert len(fib12) > cli._HEADER_BYTES
+    assert len(fib12) > trees._HEADER_BYTES
     assert compute(fib12) == (
         0, b"%d\n" % cli.ROUTES["closed"](TreeFamily.FIBONACCI, 12), b"")
     big = trees.DEFAULT_NODE_BUDGET + 1

@@ -1,6 +1,8 @@
 import itertools
 import math
+import os
 import random
+import threading
 from array import array
 
 import pytest
@@ -48,6 +50,8 @@ def test_binomial_base_cases():
     assert t0.n == 1 and t0.children[0] == []
     t1 = binomial_tree(1)
     assert t1.n == 2 and t1.parent.count(ROOT_PARENT) == 1
+    assert len(t1) == 2
+    assert repr(t1) == "RootedTree(n=2, root=0)"
 
 
 def test_binomial_order3_root_children_sizes():
@@ -388,6 +392,52 @@ def test_parse_refuses_header_past_budget(read):
         with pytest.raises(ResourceLimitError) as exc:
             read(f"{2**31}\n0 1\n", 2**40)
         assert (exc.value.required, exc.value.budget) == (2**31, MAX_TREE_NODES)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("case", ["short", "long", "past-budget"])
+def test_read_edge_list_reads_a_pipe(tmp_path, case):
+    # A pipe cannot be read again from its start, so the head read for the
+    # header is joined to the rest, for a tree shorter than the head and one
+    # longer.  A header past the budget is refused before the body is read:
+    # the writer sends the header alone, waits until read_edge_list is done,
+    # and only then writes the body, into a pipe whose reader has gone.
+    fifo = tmp_path / "tree.fifo"
+    os.mkfifo(fifo)
+    budget = trees.DEFAULT_NODE_BUDGET
+    head, body = {
+        "short": (b"3\n0 1\n1 2\n", b""),
+        "long": (b"".join(serialize(fibonacci_tree(12))), b""),
+        "past-budget": (b"%d\n" % (budget + 1), b"0 1\n" * 100),
+    }[case]
+    assert (len(head) > trees._HEADER_BYTES) == (case == "long")
+    done, outcome = threading.Event(), []
+
+    def write():
+        with open(fifo, "wb", buffering=0) as fh:
+            fh.write(head)
+            if body:
+                done.wait(10)
+                try:
+                    fh.write(body)
+                except BrokenPipeError:
+                    outcome.append("reader gone")
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        if case == "past-budget":
+            with pytest.raises(ResourceLimitError) as exc:
+                trees.read_edge_list(fifo, budget)
+            assert str(exc.value) == (
+                f"tree requires {budget + 1} nodes, exceeding the budget of {budget}")
+        else:
+            assert trees.read_edge_list(fifo, budget) == head
+    finally:
+        done.set()
+        writer.join(10)
+    assert not writer.is_alive()
+    assert outcome == (["reader gone"] if body else [])
 
 
 # Without the whole-text scan, most of these texts read as a valid tree:
