@@ -317,7 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse leaves reference cycles.  Made with the collector paused, all
+    # stay young, and one young collection frees them before the command
+    # runs, not a full one many commands later, amid their tree buffers.
+    import gc
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        args = build_parser().parse_args(argv)
+    finally:
+        if collecting:
+            gc.enable()
+            gc.collect(0)
     try:
         return args.func(args)
     except NotDivisibleError as exc:

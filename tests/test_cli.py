@@ -1,3 +1,5 @@
+import argparse
+import gc
 import inspect
 import json
 import os
@@ -680,6 +682,52 @@ def test_stdout_byte_identical_across_runs(capsys):
         _, first, _ = run_cli(capsys, args)
         _, second, _ = run_cli(capsys, args)
         assert first == second
+
+
+def _live_parsers() -> int:
+    """The treewiener parsers the collector tracks, garbage included."""
+    return sum(isinstance(o, argparse.ArgumentParser) and o.prog.startswith("treewiener")
+               for o in gc.get_objects())
+
+
+def test_main_frees_its_parser_before_the_command(monkeypatch):
+    # argparse leaves reference cycles.  Left to the collector's timing,
+    # parsers of earlier calls, promoted to older generations, lived on
+    # amid later commands' tree buffers; main frees them before any command.
+    gc.collect()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_closed_form", lambda args: seen.append(_live_parsers()) or 0)
+    for _ in range(3):
+        assert cli.main(["closed-form", "--family", "binomial", "--order", "3"]) == 0
+    assert seen == [0, 0, 0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["closed-form", "--family", "binomial", "--order", "3"],
+    ["closed-form", "--family", "binomial", "--order", "x"],  # a usage error
+])
+def test_main_keeps_the_collector_as_it_found_it(capsys, argv):
+    # Paused by the caller, the collector stays paused and main runs no
+    # collection; running, it stays running, after a usage error too.
+    collections = []
+
+    def record(phase, info):
+        collections.append(phase)
+
+    gc.callbacks.append(record)
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            collections.clear()
+            try:
+                cli.main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2
+            assert gc.isenabled() is enabled
+            assert bool(collections) is enabled
+    finally:
+        gc.callbacks.remove(record)
+        gc.enable()
 
 
 def test_import_loads_no_process_pool():
