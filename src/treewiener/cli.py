@@ -56,11 +56,13 @@ MAX_RESULT_BITS = 1 << 23
 # generate, whose node count (2^k or a Fibonacci number near phi^k) is
 # computed before the node budget can refuse it.
 MAX_LINEAR_ORDER = 50_000
-# MAX_SWEEP_ORDER caps the --max-order K of verify and bench, whose sweep
+# MAX_SWEEP_ORDER caps the --max-order K of verify and bench.  verify's sweep
 # runs the recurrence from scratch at every order up to K, so that its time
-# grows like K^3; replay costs O(log k) multiplications per order.  The
-# slowest family's sweep, binary Fibonacci, takes about 8 s at the cap
-# (Python 3.11, one run).
+# grows like K^3; bench's runs the closed form and replay, which cost
+# O(log k) multiplications per order.  At the cap the slowest family, binary
+# Fibonacci, takes 5.0 s to verify and 0.7 s to bench without the oracles,
+# 5.8 s and 1.4 s with them (--node-budget 0 and the default; Python 3.11,
+# in process, best of 3).
 MAX_SWEEP_ORDER = 2_500
 # MAX_BFS_NODES caps the tree the quadratic oracle searches, in compute
 # --algo bfs, verify and bench (which also keeps its --bfs-budget), and is
@@ -91,19 +93,20 @@ ROUTES = {
 
 
 def _sweep(family: TreeFamily, max_order: int, node_budget: int,
-           bfs_budget: int = MAX_BFS_NODES):
+           bfs_budget: int = MAX_BFS_NODES, routes: tuple = tuple(ROUTES)):
     """The sweep behind verify and bench: for every order with a Wiener
     index up to max_order, yield (k, n, {route: (W, seconds)}) for every
-    route that ran.  Every ROUTES entry runs; the oracles "linear" and
-    "bfs" run only while the materialized tree fits node_budget, and the
-    quadratic one only up to min(bfs_budget, MAX_BFS_NODES) nodes."""
+    route that ran.  The ROUTES entries named in routes run, all of them by
+    default; the oracles "linear" and "bfs" run only while the materialized
+    tree fits node_budget, and the quadratic one only up to
+    min(bfs_budget, MAX_BFS_NODES) nodes."""
     start = family.spec.min_summary_order
     if max_order < start:
         raise InvalidOrderError(f"--max-order must be >= {start} for {family.value}")
     _check_order(max_order, MAX_SWEEP_ORDER, "--max-order", "a verify or bench sweep")
     for k in range(start, max_order + 1):
         n = node_count(family, k)
-        ran = {name: _timed(route, family, k) for name, route in ROUTES.items()}
+        ran = {name: _timed(ROUTES[name], family, k) for name in routes}
         if n <= node_budget:
             tree = generate(family, k, max_nodes=node_budget)
             ran["linear"] = _timed(oracle.wiener_linear, tree)
@@ -241,8 +244,8 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     family = TreeFamily(args.family)
     entries = []
-    for k, n, ran in _sweep(family, args.max_order, args.node_budget, args.bfs_budget):
-        # The recurrence runs too, for verify; its time is not reported.
+    for k, n, ran in _sweep(family, args.max_order, args.node_budget, args.bfs_budget,
+                            ("closed", "replay")):
         seconds = {key: ran[route][1] if route in ran else None for key, route in
                    (("closed_form", "closed"), ("replay", "replay"),
                     ("linear", "linear"), ("bfs", "bfs"))}

@@ -426,9 +426,10 @@ def read_edge_list(path, max_nodes: int | None) -> bytes:
     past max_nodes (None: no budget) or MAX_TREE_NODES raises
     ResourceLimitError before the rest is read.  Any other head, such as a
     pipe's first read that stops inside the header line, is left to parse.
-    Unbuffered, so read() returns the rest as one bytes object: a file is
-    read again from its start, with no head joined to it; a pipe cannot
-    be, so its head is.
+    Unbuffered, so a file's read() returns it as one bytes object, read
+    again from its start with no head joined to it.  A pipe cannot be read
+    again, so its rest is read into one buffer that already holds the head,
+    and the input is held once, not twice as head + rest would hold it.
     """
     with open(path, "rb", buffering=0) as fh:
         head = fh.read(_HEADER_BYTES)
@@ -438,7 +439,12 @@ def read_edge_list(path, max_nodes: int | None) -> bytes:
         if fh.seekable():
             fh.seek(0)
             return fh.read()
-        return head + fh.read()
+        import io
+        import shutil
+        buf = io.BytesIO()
+        buf.write(head)
+        shutil.copyfileobj(fh, buf)
+        return buf.getvalue()
 
 
 # Edge lines per format operation in serialize, and bytes, rounded up to

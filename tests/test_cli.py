@@ -644,6 +644,20 @@ def test_bench_and_verify_gate_the_oracles_alike(capsys, monkeypatch):
         [["ran", "ran"]] * 4 + [["ran", "skipped"]] * 2 + [["skipped", "skipped"]])
 
 
+@pytest.mark.parametrize("family", cli.FAMILY_CHOICES)
+def test_bench_evaluates_no_recurrence(capsys, monkeypatch, family):
+    # bench times the closed form and replay, not the O(k) recurrence: with
+    # every recurrence refusing, it prints what it printed before, oracle
+    # columns included.  verify still compares them (see
+    # test_verify_detects_mismatch).
+    argv = ["bench", "--family", family, "--max-order", "30", "--node-budget", "3000"]
+    rc, expected, _ = run_cli(capsys, argv)
+    assert rc == 0
+    for name in ("wiener_binomial_recurrence", "wiener_fib", "wiener_binfib"):
+        monkeypatch.setattr(formulas, name, _raises(AssertionError(f"{name} called")))
+    assert run_cli(capsys, argv)[:2] == (0, expected)
+
+
 def test_sweep_drops_each_tree_after_its_oracles():
     # Binary Fibonacci orders 17 to 19 have 4180, 6764 and 10945 nodes, past
     # the budget, so they run only the routes: no tree should be alive

@@ -395,13 +395,15 @@ def test_parse_refuses_header_past_budget(read):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-@pytest.mark.parametrize("case", ["short", "long", "past-budget"])
+@pytest.mark.parametrize("case", ["short", "long", "past-budget", "held-once"])
 def test_read_edge_list_reads_a_pipe(tmp_path, case):
     # A pipe cannot be read again from its start, so the head read for the
     # header is joined to the rest, for a tree shorter than the head and one
     # longer.  A header past the budget is refused before the body is read:
     # the writer sends the header alone, waits until read_edge_list is done,
     # and only then writes the body, into a pipe whose reader has gone.
+    # A large input is held once while it is read: head + rest, a second
+    # copy of the whole input, peaked at twice its size.
     fifo = tmp_path / "tree.fifo"
     os.mkfifo(fifo)
     budget = trees.DEFAULT_NODE_BUDGET
@@ -409,8 +411,9 @@ def test_read_edge_list_reads_a_pipe(tmp_path, case):
         "short": (b"3\n0 1\n1 2\n", b""),
         "long": (b"".join(serialize(fibonacci_tree(12))), b""),
         "past-budget": (b"%d\n" % (budget + 1), b"0 1\n" * 100),
+        "held-once": (b"".join(serialize(fibonacci_tree(24))), b""),
     }[case]
-    assert (len(head) > trees._HEADER_BYTES) == (case == "long")
+    assert (len(head) > trees._HEADER_BYTES) == (case in ("long", "held-once"))
     done, outcome = threading.Event(), []
 
     def write():
@@ -431,6 +434,11 @@ def test_read_edge_list_reads_a_pipe(tmp_path, case):
                 trees.read_edge_list(fifo, budget)
             assert str(exc.value) == (
                 f"tree requires {budget + 1} nodes, exceeding the budget of {budget}")
+        elif case == "held-once":
+            read = []
+            peak = peak_memory(lambda: read.append(trees.read_edge_list(fifo, budget)))
+            assert read == [head]
+            assert peak < 1.5 * len(head), (peak, len(head))
         else:
             assert trees.read_edge_list(fifo, budget) == head
     finally:
