@@ -29,6 +29,7 @@ from treewiener.errors import (
 )
 from treewiener.trees import (
     DEFAULT_NODE_BUDGET,
+    MAX_LINEAR_ORDER,
     TreeFamily,
     generate,
     node_count,
@@ -48,14 +49,12 @@ FAMILY_CHOICES = [f.value for f in TreeFamily]
 # bits.  At the cap a Fibonacci closed form (k near 4.2 million) takes
 # seconds, and the binomial one is a shift.
 MAX_RESULT_BITS = 1 << 23
-# MAX_LINEAR_ORDER caps k for the recurrence and replay routes.  The
-# recurrence's O(k) additions on integers that grow with k take time that
-# grows like k^2: 0.3-2.0 s at the cap.  Replay takes 0.03-0.08 s there
-# (Python 3.11, one run per family, decimal output included) and keeps the
-# cap, so both routes refuse the same orders.  It also caps the order of
-# generate, whose node count (2^k or a Fibonacci number near phi^k) is
-# computed before the node budget can refuse it.
-MAX_LINEAR_ORDER = 50_000
+# MAX_LINEAR_ORDER, trees.generate's cap on the order of a tree, also caps k
+# for the recurrence and replay routes.  The recurrence's O(k) additions on
+# integers that grow with k take time that grows like k^2: 0.3-2.0 s at the
+# cap.  Replay takes 0.03-0.08 s there (Python 3.11, one run per family,
+# decimal output included) and keeps the cap, so both routes refuse the
+# same orders.
 # MAX_SWEEP_ORDER caps the --max-order K of verify and bench.  verify's sweep
 # runs the recurrence from scratch at every order up to K, so that its time
 # grows like K^3; bench's runs the closed form and replay, which cost
@@ -191,7 +190,6 @@ def cmd_closed_form(args) -> int:
 
 def cmd_generate(args) -> int:
     family = TreeFamily(args.family)
-    _check_order(args.order, MAX_LINEAR_ORDER, "order", "a generated tree")
     pieces = serialize(generate(family, args.order, max_nodes=args.max_nodes))
     # Rendered before the file is opened, so an error while rendering
     # leaves no empty file, and an existing one as it was.

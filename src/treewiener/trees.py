@@ -46,6 +46,10 @@ DEFAULT_NODE_BUDGET = 1 << 22
 MAX_TREE_NODES = (1 << 31) - 1
 # parent[root]: every other entry is a node id, 0 or more.
 ROOT_PARENT = -1
+# The largest order generate accepts.  The node count it checks against the
+# budget, 2^k or a Fibonacci number near phi^k, takes time that grows with
+# k to compute, so a larger order is refused before it.
+MAX_LINEAR_ORDER = 50_000
 
 
 class TreeFamily(Enum):
@@ -352,7 +356,11 @@ def generate(family: TreeFamily, k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -
     appends the new child's ids and puts it first among the root's
     children (leftmost) or last, so a leftmost family's children run in
     decreasing id and the others' in increasing id, kids comes out grouped
-    with no sort, and every parent id is below its child's."""
+    with no sort, and every parent id is below its child's.  An order past
+    MAX_LINEAR_ORDER is refused first."""
+    if k > MAX_LINEAR_ORDER:
+        raise InvalidOrderError(
+            f"order {k} exceeds the cap of {MAX_LINEAR_ORDER} on the order of a generated tree")
     n = node_count(family, k)
     _check_nodes(n, max_nodes)
     spec = family.spec
@@ -388,28 +396,21 @@ def serialize(tree: RootedTree) -> list:
 def parse(text: bytes | str, max_nodes: int | None = None) -> RootedTree:
     """Inverse of serialize, with line-numbered rejection of bad input.
 
-    text is a file's bytes, or a str.  Bytes in serialize's exact form, or
-    in that form with CRLF after every line, are read and checked in bulk
-    (_parse_canonical), and so is an ASCII str, once encoded.  Every
-    other text, and every text the bulk checks reject, is read line by line
-    (_parse_lines), bytes decoded as ASCII with surrogateescape, so that a
-    byte past ASCII becomes a lone surrogate it rejects.  _parse_lines alone
-    raises ParseError, so each input gets the same tree or the same error
-    whichever way it is read.  A header n past max_nodes, when given, is
-    refused with ResourceLimitError before anything is sized by it.  So is
-    one past MAX_TREE_NODES, the most nodes 'i' ids can number, once the
-    text has as many lines as it claims.
+    text is a file's bytes, or a str, which is encoded once, as UTF-8 with
+    surrogatepass, so that every str has bytes.  Bytes in serialize's exact
+    form, or in that form with CRLF after every line, are read and checked
+    in bulk (_parse_canonical).  Every other text, and every text the bulk
+    checks reject, is read line by line (_parse_lines) from the same bytes.
+    _parse_lines alone raises ParseError, so each input gets the same tree
+    or the same error whichever way it is read.  A header n past max_nodes,
+    when given, is refused with ResourceLimitError before anything is sized
+    by it.  So is one past MAX_TREE_NODES, the most nodes 'i' ids can
+    number, once the text has as many lines as it claims.
     """
-    data = text if isinstance(text, bytes) else text.encode("ascii") if text.isascii() else None
-    tree = None if data is None else _parse_canonical(data, max_nodes)
-    if tree is not None:
-        return tree
-    if data is text:
-        # Decoded only now, and the bytes dropped, so that the line reader
-        # holds one copy of the text.
-        text = text.decode("ascii", "surrogateescape")
-    del data
-    return _parse_lines(text, max_nodes)
+    if isinstance(text, str):
+        text = text.encode("utf-8", "surrogatepass")
+    tree = _parse_canonical(text, max_nodes)
+    return _parse_lines(text, max_nodes) if tree is None else tree
 
 
 # The bytes read_edge_list reads first, for the header: room for any node
@@ -424,8 +425,9 @@ def read_edge_list(path, max_nodes: int | None) -> bytes:
     The first _HEADER_BYTES are read first, and a whole first line of ASCII
     digits in them is checked as parse checks the header: a node count
     past max_nodes (None: no budget) or MAX_TREE_NODES raises
-    ResourceLimitError before the rest is read.  Any other head, such as a
-    pipe's first read that stops inside the header line, is left to parse.
+    ResourceLimitError before the rest is read, with or without a CR
+    before its LF.  Any other head, such as a pipe's first read that stops
+    inside the header line, is left to parse.
     Unbuffered, so a file's read() returns it as one bytes object, read
     again from its start with no head joined to it.  A pipe cannot be read
     again, so its rest is read into one buffer that already holds the head,
@@ -434,6 +436,7 @@ def read_edge_list(path, max_nodes: int | None) -> bytes:
     with open(path, "rb", buffering=0) as fh:
         head = fh.read(_HEADER_BYTES)
         line, lf, _ = head.partition(b"\n")
+        line = line.removesuffix(b"\r")
         if lf and line.isdigit():
             _check_nodes(int(line), max_nodes)
         if fh.seekable():
@@ -449,7 +452,7 @@ def read_edge_list(path, max_nodes: int | None) -> bytes:
 
 # Edge lines per format operation in serialize, and bytes, rounded up to
 # the end of a line, per structure check and json.loads in
-# _parse_canonical, or characters per splitlines in _lines: large enough
+# _parse_canonical, or per decode and splitlines in _lines: large enough
 # that the cost per slice vanishes, small enough that a slice's temporaries
 # are a small part of a 3e5-node tree.
 _SERIALIZE_SLICE = 4096
@@ -502,7 +505,13 @@ def _parse_canonical(data: bytes, max_nodes: int | None = None):
         return None
     if data.count(b"\n") != n:
         return None
-    _check_nodes(n, max_nodes)
+    try:
+        _check_nodes(n, max_nodes)
+    except ResourceLimitError:
+        # The line reader reports a rejected byte first, as a ParseError.
+        if _rejected(data) is not None:
+            return None
+        raise
     parent = array("i", [ROOT_PARENT]) * n
     kids = array("i")
     last = 0  # the last parent id read, or None once one fell
@@ -549,58 +558,71 @@ def _parse_canonical(data: bytes, max_nodes: int | None = None):
     return tree
 
 
-# The characters the line reader rejects wherever they stand (see
-# _parse_lines): those of _REJECTED_ASCII and every one past ASCII.
-_REJECTED_ASCII = "+-_\x0b\x0c\x1c\x1d\x1e\x1f"
-_REJECTED = "[^\x00-\x7f]|[%s]" % re.escape(_REJECTED_ASCII)
+# The bytes the line reader rejects wherever they stand (see _parse_lines):
+# those of _REJECTED_ASCII and every one past ASCII.
+_REJECTED_ASCII = b"+-_\x0b\x0c\x1c\x1d\x1e\x1f"
+_REJECTED = rb"[\x80-\xff%b]" % re.escape(_REJECTED_ASCII)
 # A line break in a text the line reader reads: LF, CR or CRLF, the only
 # breaks it leaves unrejected.
-_BREAK = "\r\n?|\n"
+_BREAK = rb"\r\n?|\n"
 
 
-def _lines(text: str):
-    """text.splitlines(), one line at a time: the text is split
-    _PARSE_SLICE characters at a time, rounded up to the end of a line, so
-    no list of every line is held.  For a text holding no line break but
-    LF, CR and CRLF."""
+def _rejected(data: bytes):
+    """The offset of the first byte in data that _parse_lines rejects
+    wherever it stands, or None.  isascii and one search per byte of
+    _REJECTED_ASCII scan the whole data; the first such byte is searched
+    for only when one of them finds it."""
+    if not data.isascii() or any(ch in data for ch in _REJECTED_ASCII):
+        return re.search(_REJECTED, data).start()
+
+
+def _lines(data: bytes):
+    """data.decode().splitlines(), one line at a time: data is split and
+    decoded _PARSE_SLICE bytes at a time, rounded up to the end of a line,
+    so neither a str of the whole text nor a list of every line is held.
+    For ASCII data holding no line break but LF, CR and CRLF."""
     search = re.compile(_BREAK).search
     start = 0
-    while start < len(text):
-        cut = search(text, start + _PARSE_SLICE - 1)
-        end = len(text) if cut is None else cut.end()
-        yield from text[start:end].splitlines()
+    while start < len(data):
+        cut = search(data, start + _PARSE_SLICE - 1)
+        end = len(data) if cut is None else cut.end()
+        yield from data[start:end].decode("ascii").splitlines()
         start = end
 
 
-def _breaks(text: str, end: int) -> int:
-    """The line breaks (LF, CR or CRLF) in text[:end]."""
-    return text.count("\n", 0, end) + text.count("\r", 0, end) - text.count("\r\n", 0, end)
+def _breaks(data: bytes, end: int) -> int:
+    """The line breaks (LF, CR or CRLF) in data[:end]."""
+    return data.count(b"\n", 0, end) + data.count(b"\r", 0, end) - data.count(b"\r\n", 0, end)
 
 
-def _parse_lines(text: str, max_nodes: int | None = None) -> RootedTree:
-    """parse, one line at a time, for any text: the reference the bulk path
-    must agree with, and the only source of ParseError.
+def _parse_lines(text: bytes, max_nodes: int | None = None) -> RootedTree:
+    """parse, one line at a time, for any bytes: the reference the bulk
+    path must agree with, and the only source of ParseError.
 
     Detected first, over the whole input: a sign, an underscore, a control
-    character among VT, FF and 0x1c-0x1f, or a character outside ASCII.
-    Detected per line: malformed tokens, ids out of range, duplicate edges,
-    second parents, cycles.  Detected at end of input: wrong edge count
-    (disconnection / multiple roots).  A header past max_nodes, when given,
-    is refused as soon as it is read, before the line count; one past
-    MAX_TREE_NODES only after it, as no text short of 2**31 lines has one.
-    Lines end at LF, CR or CRLF, as in str.splitlines, and are read a slice
-    at a time (_lines), so no list of them is held.
+    character among VT, FF and 0x1c-0x1f, or a byte outside ASCII, reported
+    as the UTF-8 character it starts.  Detected per line: malformed tokens,
+    ids out of range, duplicate edges, second parents, cycles.  Detected at
+    end of input: wrong edge count (disconnection / multiple roots).  A
+    header past max_nodes, when given, is refused as soon as it is read,
+    before the line count; one past MAX_TREE_NODES only after it, as no
+    text short of 2**31 lines has one.  Lines end at LF, CR or CRLF, as in
+    str.splitlines, and are decoded and read a slice at a time (_lines), so
+    the text is held once, as the bytes it was given, and no list of lines
+    is held.
     """
     # int() also reads signs, underscores and the digits of other scripts,
     # and str.split() and str.splitlines() take the control characters for
-    # separators.  One scan of the whole text; the first offending character
-    # is searched only when it fails.  Every line break other than LF, CR or
-    # CRLF is itself rejected, so none stands before that character, and it
+    # separators.  Every line break other than LF, CR or CRLF is itself
+    # rejected, so none stands before the first rejected byte, and it
     # belongs to the line it ends.
-    if not text.isascii() or any(ch in text for ch in _REJECTED_ASCII):
-        at = re.search(_REJECTED, text).start()
+    at = _rejected(text)
+    if at is not None:
+        # A byte that starts no UTF-8 character is shown escaped, as
+        # surrogateescape decodes it.
+        found = text[at:at + 4].decode("utf-8", "surrogateescape")[0]
         raise ParseError(_breaks(text, at) + 1,
-                         f"expected ASCII decimal digits, found {text[at]!r}")
+                         f"expected ASCII decimal digits, found {found!r}")
     lines = _lines(text)
     header = next(lines, "").strip()
     if not header:
@@ -618,7 +640,7 @@ def _parse_lines(text: str, max_nodes: int | None = None) -> RootedTree:
         return RootedTree.empty()
     # Each edge takes a line, so a header larger than the input is rejected
     # before it sizes any allocation.
-    line_count = _breaks(text, len(text)) + (text[-1:] not in ("", "\r", "\n"))
+    line_count = _breaks(text, len(text)) + (text[-1:] not in (b"", b"\r", b"\n"))
     if n > line_count:
         raise ParseError(
             line_count,

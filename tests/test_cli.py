@@ -426,19 +426,22 @@ def test_compute_header_past_max_nodes_exits_2(tmp_path, capsys):
 
 
 def test_compute_refuses_a_header_past_budget_before_the_body(tmp_path, capsys):
-    # 4 MB of edge lines under a header one node past the budget: compute
-    # reads the header alone, so its peak stays far below the body's size.
-    # The last line holds a byte past ASCII, which a read of the whole file
-    # would report instead, as a ParseError.
+    # 4 MB of edge lines under a header one node past the budget, with LF
+    # and with CRLF line ends: compute reads the header alone, so its peak
+    # stays far below the body's size.  The last line holds a byte past
+    # ASCII, which a read of the whole file would report instead, as a
+    # ParseError.
     f = tmp_path / "big.tree"
     big = trees.DEFAULT_NODE_BUDGET + 1
-    f.write_bytes(b"%d\n" % big + b"0 1\n" * 1_000_000 + b"0 \xff\n")
-    codes = []
-    assert peak_memory(lambda: codes.append(cli.main(["compute", "--in", str(f)]))) < 1_000_000
-    assert codes == [2]
-    assert capsys.readouterr() == (
-        "", f"error: tree requires {big} nodes, exceeding the budget of "
-            f"{trees.DEFAULT_NODE_BUDGET}\n")
+    for eol in (b"\n", b"\r\n"):
+        text = b"%d\n" % big + b"0 1\n" * 1_000_000 + b"0 \xff\n"
+        f.write_bytes(text.replace(b"\n", eol))
+        codes = []
+        assert peak_memory(lambda: codes.append(cli.main(["compute", "--in", str(f)]))) < 1_000_000
+        assert codes == [2]
+        assert capsys.readouterr() == (
+            "", f"error: tree requires {big} nodes, exceeding the budget of "
+                f"{trees.DEFAULT_NODE_BUDGET}\n")
 
 
 @pytest.mark.parametrize("eol", [b"\r\n", b"\r"], ids=["crlf", "lone-cr"])

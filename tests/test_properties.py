@@ -146,7 +146,7 @@ def test_parse_matches_per_line_reader(case, layout, rng, chars):
         assert (_parse_canonical(text.encode()) is not None) == (
             text in (canonical, canonical.replace("\n", "\r\n")))
         got = parse(text)
-    ref = _parse_lines(text)
+    ref = _parse_lines(text.encode())
     assert all(ref.parent[c] == p for p, c in edges)
     assert (got.n, got.root, got.parent, got.kids, got.children) == (
         ref.n, ref.root, ref.parent, ref.kids, ref.children)
@@ -198,7 +198,7 @@ def test_parse_rejects_like_per_line_reader(case, mutation, data, chars):
         edges[i] = (q, c2)
     text = plain(n, edges)
     with pytest.raises(ParseError) as ref:
-        _parse_lines(text)
+        _parse_lines(text.encode())
     with parse_slices(chars):
         assert _parse_canonical(text.encode()) is None
         with pytest.raises(ParseError) as got:

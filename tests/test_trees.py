@@ -3,6 +3,7 @@ import math
 import os
 import random
 import threading
+import time
 from array import array
 
 import pytest
@@ -219,6 +220,20 @@ def test_invalid_orders():
         node_count(TreeFamily.BINOMIAL, -4)
 
 
+@pytest.mark.parametrize("family", list(TreeFamily), ids=lambda f: f.value)
+def test_generate_refuses_an_order_past_the_cap_at_once(family):
+    # Refused before the node count, 2^(10^9) or F(10^9 + 2), is computed.
+    # At the cap itself the node budget refuses the tree instead.
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidOrderError) as exc:
+        generate(family, 10**9)
+    assert time.perf_counter() - t0 < 1.0
+    assert str(exc.value) == (f"order 1000000000 exceeds the cap of "
+                              f"{trees.MAX_LINEAR_ORDER} on the order of a generated tree")
+    with pytest.raises(ResourceLimitError):
+        generate(family, trees.MAX_LINEAR_ORDER)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -285,7 +300,7 @@ def test_parse_sorts_when_parent_ids_fall(monkeypatch, text, chars):
     # The parent column falls once, so the line order is not grouped by
     # parent and the bulk path must sort it.
     monkeypatch.setattr(trees, "_PARSE_SLICE", chars)
-    got, ref = _parse_canonical(text.encode()), _parse_lines(text)
+    got, ref = _parse_canonical(text.encode()), _parse_lines(text.encode())
     assert got is not None
     assert (got.parent, got.kids, got.children) == (ref.parent, ref.kids, ref.children)
     assert got.kids.tolist() == sorted(got.kids, key=got.parent.__getitem__)
@@ -299,7 +314,7 @@ def test_lines_match_splitlines_at_every_slice(monkeypatch):
     for chars in range(1, len(text) + 2):
         monkeypatch.setattr(trees, "_PARSE_SLICE", chars)
         for t in (text, text + "4", text[1:], "\n", ""):
-            assert list(trees._lines(t)) == t.splitlines()
+            assert list(trees._lines(t.encode())) == t.splitlines()
 
 
 def test_from_parents_stores_a_none_root_as_root_parent():
@@ -370,10 +385,10 @@ def test_parse_rejects_header_larger_than_input():
 def test_parse_refuses_header_past_budget(read):
     # Each path checks the header against max_nodes before it sizes
     # anything by n, both when the line count matches the header and when
-    # a two-line text claims a tree past the budget.  The bulk path reads
-    # bytes only.
+    # a two-line text claims a tree past the budget.  Only parse reads a
+    # str.
     text = "4\n0 1\n0 2\n1 3\n"
-    if read is _parse_canonical:
+    if read is not parse:
         text = text.encode()
     assert read(text, 4).parent.tolist() == [ROOT_PARENT, 0, 0, 1]
     with pytest.raises(ResourceLimitError) as exc:
@@ -384,13 +399,13 @@ def test_parse_refuses_header_past_budget(read):
 
         def refused():
             with pytest.raises(ResourceLimitError) as exc:
-                read(f"{big}\n0 1\n", trees.DEFAULT_NODE_BUDGET)
+                read(b"%d\n0 1\n" % big, trees.DEFAULT_NODE_BUDGET)
             assert exc.value.required == big
 
         assert peak_memory(refused) < 20_000
         # Past the ids an 'i' array holds, the budget is MAX_TREE_NODES.
         with pytest.raises(ResourceLimitError) as exc:
-            read(f"{2**31}\n0 1\n", 2**40)
+            read(b"%d\n0 1\n" % 2**31, 2**40)
         assert (exc.value.required, exc.value.budget) == (2**31, MAX_TREE_NODES)
 
 
@@ -470,6 +485,49 @@ def test_parse_rejects_non_ascii_decimal(text, line):
     assert exc.value.line == line
 
 
+# A byte past ASCII is reported as the UTF-8 character it starts, and a byte
+# that starts none as surrogateescape decodes it.  A str is read as its
+# UTF-8 bytes, with a lone surrogate encoded as if it were a character, so
+# it is reported as its escaped lead byte and never fails to encode.
+@pytest.mark.parametrize("text,found", [
+    (b"3\n0 1\n0 \xc3\xa9\n", "\u00e9"),
+    (b"3\n0 1\n0 \xa0\n", "\udca0"),
+    ("3\n0 1\n0 \ud800\n", "\udced"),
+], ids=["utf-8", "byte", "lone-surrogate"])
+def test_parse_reports_a_non_ascii_character_at_its_line(text, found):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.reason) == (
+        3, f"expected ASCII decimal digits, found {found!r}")
+
+
+def test_parse_reports_a_rejected_byte_before_the_budget():
+    # serialize's form but for a '+', under a header past the budget: the
+    # line reader reports the '+' before it reads the header, so the bulk
+    # path leaves the text to it rather than refuse the header itself.
+    text = b"5\n0 1\n+ 2\n0 3\n0 4\n"
+    assert _parse_canonical(text, 3) is None
+    for read in (parse, _parse_lines):
+        with pytest.raises(ParseError) as exc:
+            read(text, 3)
+        assert (exc.value.line, exc.value.reason) == (
+            3, "expected ASCII decimal digits, found '+'")
+
+
+def test_parse_holds_the_text_once_line_by_line():
+    # One extra space on line 2 sends the text to the line reader, which
+    # decodes it a slice at a time, so its peak stays within half the
+    # text's size of the bulk read's.  A decode of the whole text held a
+    # second copy, and peaked 1.26 times the text's size above it.
+    data = b"".join(serialize(binomial_tree(16)))
+    head, _, rest = data.partition(b"\n")
+    padded = head + b"\n" + rest.replace(b"\n", b" \n", 1)
+    assert _parse_canonical(padded) is None
+    assert parse(padded).parent == parse(data).parent
+    bulk, lines = peak_memory(parse, data), peak_memory(parse, padded)
+    assert lines - bulk < 0.5 * len(data), (lines, bulk, len(data))
+
+
 # Near misses of serialize's form.  Each is read line by line: the bulk
 # path returns None, and parse gives the line reader's tree or ParseError.
 @pytest.mark.parametrize("data", [
@@ -507,7 +565,7 @@ def test_parse_rejects_non_ascii_decimal(text, line):
 def test_parse_reads_near_misses_line_by_line(data):
     assert _parse_canonical(data) is None
     try:
-        want = _parse_lines(data.decode("ascii", "surrogateescape"))
+        want = _parse_lines(data)
     except ParseError as exc:
         with pytest.raises(ParseError) as got:
             parse(data)
