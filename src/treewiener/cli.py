@@ -51,16 +51,17 @@ FAMILY_CHOICES = [f.value for f in TreeFamily]
 MAX_RESULT_BITS = 1 << 23
 # MAX_LINEAR_ORDER, trees.generate's cap on the order of a tree, also caps k
 # for the recurrence and replay routes.  The recurrence's O(k) additions on
-# integers that grow with k take time that grows like k^2: 0.3-2.0 s at the
-# cap.  Replay takes 0.03-0.08 s there (Python 3.11, one run per family,
-# decimal output included) and keeps the cap, so both routes refuse the
-# same orders.
+# integers that grow with k take time that grows like k^2: 0.13-0.38 s at
+# the cap (Python 3.11, in process, best of 3, decimal output included).
+# Replay takes 0.03-0.08 s there (Python 3.11, one run per family, decimal
+# output included) and keeps the cap, so both routes refuse the same
+# orders.
 # MAX_SWEEP_ORDER caps the --max-order K of verify and bench.  verify's sweep
 # runs the recurrence from scratch at every order up to K, so that its time
 # grows like K^3; bench's runs the closed form and replay, which cost
 # O(log k) multiplications per order.  At the cap the slowest family, binary
-# Fibonacci, takes 5.0 s to verify and 0.7 s to bench without the oracles,
-# 5.8 s and 1.4 s with them (--node-budget 0 and the default; Python 3.11,
+# Fibonacci, takes 2.3 s to verify and 0.6 s to bench without the oracles,
+# 2.9 s and 1.2 s with them (--node-budget 0 and the default; Python 3.11,
 # in process, best of 3).
 MAX_SWEEP_ORDER = 2_500
 # MAX_BFS_NODES caps the tree the quadratic oracle searches, in compute

@@ -11,11 +11,13 @@ fixed combination of a few Fibonacci numbers and of powers of two, and the
 two Fibonacci closed forms take all of theirs, F(k), F(k+1), F(2k) and
 F(2k+1), from one fast-doubling pass.  The recurrences iterate upward,
 without recursion, in O(k) big-integer additions and shifts per call, and
-multiply no growing integer.  Each Fibonacci family has one loop that
-starts from the summaries below the family's floor and rolls W, D, the pair
-(F(i), F(i+1)) and the products of W's step together, so it needs neither
-base cases nor a table of Fibonacci numbers.  The convolution forms are
-O(k^2) and exist only as cross-check identities.
+multiply no growing integer.  Both Fibonacci families share one roll
+(_roll): each runs its own W step, with D from its own D loop, up to
+order 10, and from there W and the step's cross term go up by one linear
+recurrence that both families' W obey, in 12 additions per order.  The D
+recurrences run a loop of their own that rolls only D and F, 4 additions
+per order.  The convolution forms are O(k^2) and exist only as
+cross-check identities.
 
 The binary Fibonacci Wiener recurrence is implemented in a corrected form:
 the textbook-style printed recurrence
@@ -29,6 +31,8 @@ anchored distance sum (see wiener_binfib) makes the recurrence agree with
 direct enumeration at every order; the literal printed form is retained as
 wiener_binfib_literal to document the divergence (first at k = 3: 5 vs 10).
 """
+
+from itertools import islice
 
 from treewiener.errors import InvalidOrderError
 from treewiener.exact import exact_div, fib, fib_pair, fib_table, pow2
@@ -83,6 +87,88 @@ def wiener_binomial_recurrence(k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# One roll for both Fibonacci families
+# ---------------------------------------------------------------------------
+
+def _d_values(c: int):
+    """D at every order of a Fibonacci family above its lowest one, upward
+    without end.  The two lowest orders have D = 0, and each step is
+
+        D(i) = D(i-1) + D(i-2) + s(i),   s(i) = s(i-1) + s(i-2) + c,
+
+    where s(i) counts the vertices that the step hangs one edge deeper:
+    F(i) with c = 0 (Fibonacci), F(i+2) - 2 with c = 2 (binary Fibonacci).
+    Both families have s = 0, 1 at the orders before and at their first
+    step.  A step is 4 additions on integers of D's size, about half W's.
+    """
+    d_prev, d, s_prev, s = 0, 0, 0, 1
+    while True:
+        yield d
+        d_prev, d, s_prev, s = d, d + d_prev + s, s, s + s_prev + c
+
+
+def _start(low: int, c: int, cross) -> tuple:
+    """W of a Fibonacci family at the orders low .. 10, and the state of
+    _roll at order 10, all from small integers.
+
+    Orders low and low + 1 have W = 0.  From order low + 2 on, W(i) =
+    W(i-1) + W(i-2) + cross(F(i), F(i+1), D(i-2), D(i-1)), the family's own
+    step, with D taken from _d_values(c).  The cascade's stages are then
+    read off W(1) .. W(10) by their definitions (see _roll), each stage
+    applying one factor x^2 - ax - b to the one before."""
+    d = [0, *islice(_d_values(c), 9 - low)]  # D(low) .. D(9)
+    f, fn = fib_pair(low + 2)  # F(i), F(i+1)
+    w = [0, 0]  # W(low), W(low + 1), ...
+    for d2, d1 in zip(d, d[1:]):  # D(i-2), D(i-1)
+        w.append(w[-1] + w[-2] + cross(f, fn, d2, d1))
+        f, fn = fn, f + fn
+    stages = [w[1 - low:]]  # W(1) .. W(10), then g, t, u and v
+    for a, b in (1, 1), (3, -1), (3, -1), (1, 1):
+        s = stages[-1]
+        stages.append([z - a * y - b * x for x, y, z in zip(s, s[1:], s[2:])])
+    _, g, t, u, v = stages  # g(3) .. g(10), t(5) .., u(7) .., v(9), v(10)
+    return w, (w[-2], w[-1], g[-1], g[-1] - g[-2], t[-1], t[-1] - t[-2],
+               u[-2], u[-1], v[-2], v[-1])
+
+
+def _roll(state: tuple, steps: int) -> tuple:
+    """The state (W(i-1), W(i), g(i), g(i) - g(i-1), t(i), t(i) - t(i-1),
+    u(i-1), u(i), v(i-1), v(i)) taken `steps` orders up, by additions only.
+
+    W(i) = W(i-1) + W(i-2) + g(i) is the paper's step.  Its cross term g is
+    a sum of products of F and D, which are C-finite, so g obeys a linear
+    recurrence with small integer coefficients (Kauers & Paule, The
+    Concrete Tetrahedron, 2011, ch. 4).  From order 1 on, W of either
+    Fibonacci family is annihilated by
+
+        P_B = (x^2-x-1)^2 (x^2-3x+1)^2 (x+1)^2
+
+    (the closed forms show it, and tests/test_formulas.py pins it by a
+    finite check), so g, W's image under x^2-x-1, is annihilated by the
+    other factors.  Writing (x^2-ax-b) s for the sequence s(i) - a*s(i-1) -
+    b*s(i-2), g is carried through them one at a time:
+
+        t = (x^2-3x+1) g,   u = (x^2-3x+1) t,   v = (x^2-x-1) u,
+        v(i) = -2 v(i-1) - v(i-2).
+
+    Each x^2-3x+1 stage runs as a value and its difference, since g(i) -
+    g(i-1) = g(i-1) + (g(i-1) - g(i-2)) + t(i), so no step multiplies.  A
+    step is 12 additions, 8 of them on integers of W's size (W, g and t);
+    u is half that size and v is (-1)^i times a linear polynomial in i.
+    """
+    w_prev, w, g, dg, t, dt, u_prev, u, v_prev, v = state
+    for _ in range(steps):
+        v_prev, v = v, -(v + v + v_prev)
+        u_prev, u = u, u + u_prev + v
+        dt += t + u
+        t += dt
+        dg += g + t
+        g += dg
+        w_prev, w = w, w + w_prev + g
+    return w_prev, w, g, dg, t, dt, u_prev, u, v_prev, v
+
+
+# ---------------------------------------------------------------------------
 # Fibonacci trees
 # ---------------------------------------------------------------------------
 
@@ -94,46 +180,13 @@ def d_fib(k: int) -> int:
     return exact_div(k * fib(k + 2) + (k + 2) * fib(k), 5)
 
 
-def _fib_loop(k: int) -> tuple:
-    """(W(k), D(k)) of the order-k Fibonacci tree, by the recurrences of
-    wiener_fib and d_fib_recurrence, from orders -1 and 0, single vertices
-    with W = D = 0.
-
-    W's step needs the products F(i+1)*D(i-2), F(i)*D(i-1) and F(i+1)*F(i).
-    F and D obey linear recurrences, so their products do as well: the loop
-    carries the cross products {F(i), F(i+1)} x {D(i-2), D(i-1)} and the
-    squares and product of F(i), F(i+1), and takes each to the next order as
-    a sum of the others.  A step is therefore additions only; no growing
-    integer is ever multiplied.  The tests count the operations as executed.
-    """
-    if k < -1:
-        raise InvalidOrderError(f"fibonacci order must be >= -1, got {k}")
-    w_prev2 = w_prev = 0  # W(i-2), W(i-1)
-    d_prev2 = d_prev = 0  # D(i-2), D(i-1)
-    f, fn = 1, 1  # F(i), F(i+1)
-    f_d2 = f_d1 = fn_d2 = fn_d1 = 0  # F(i)*D(i-2), F(i)*D(i-1), F(i+1)*...
-    f_f = f_fn = fn_fn = 1  # F(i)^2, F(i)*F(i+1), F(i+1)^2
-    for _ in range(k):
-        cross = fn_d2 + f_fn  # F(i+1)*(D(i-2) + F(i))
-        w = w_prev + w_prev2 + f_d1 + cross
-        w_prev2, w_prev = w_prev, w
-        # Each product one order up, by D(i) = D(i-1) + D(i-2) + F(i) and
-        # F(i+2) = F(i) + F(i+1).
-        fn_d = fn_d1 + cross  # F(i+1)*D(i)
-        f_d2, f_d1, fn_d2, fn_d1 = fn_d1, fn_d, f_d1 + fn_d1, f_d1 + f_d2 + f_f + fn_d
-        f_f, f_fn, fn_fn = fn_fn, f_fn + fn_fn, f_f + f_fn + f_fn + fn_fn
-        d_prev2, d_prev = d_prev, d_prev + d_prev2 + f
-        f, fn = fn, f + fn
-    return w_prev, d_prev
-
-
 def d_fib_recurrence(k: int) -> int:
     """Same value by iterating D(i) = D(i-1) + D(i-2) + F(i) from D(-1) =
     D(0) = 0: the rightmost-attached order-(i-2) subtree sits one edge
     lower, adding its F(i) vertices on top of both smaller distance sums."""
     if k < 0:
         raise InvalidOrderError(f"d_fib needs k >= 0, got {k}")
-    return _fib_loop(k)[1]
+    return next(islice(_d_values(0), k, None))
 
 
 def d_fib_convolution(k: int) -> int:
@@ -151,9 +204,14 @@ def wiener_fib(k: int) -> int:
 
         W(i) = W(i-1) + W(i-2) + F(i+1)*D(i-2) + F(i)*D(i-1) + F(i+1)*F(i)
 
-    from W(-1) = W(0) = 0, with D rolled alongside by d_fib_recurrence's
-    step, and F and the three products by additions (see _fib_loop)."""
-    return _fib_loop(k)[0]
+    from W(-1) = W(0) = 0, with D from d_fib_recurrence's loop.  The step
+    runs as written up to order 10; from there _roll carries its cross term
+    by additions only, 12 per order.
+    """
+    if k < -1:
+        raise InvalidOrderError(f"fibonacci order must be >= -1, got {k}")
+    w, state = _start(-1, 0, lambda f, fn, d2, d1: fn * d2 + f * d1 + fn * f)
+    return w[k + 1] if k <= 10 else _roll(state, k - 10)[1]
 
 
 def _fib_doubled(k: int) -> tuple:
@@ -194,52 +252,13 @@ def d_binfib(k: int) -> int:
     return exact_div((k - 3) * fib(k + 3) + 2 * (k - 2) * fib(k + 2), 5) + 2
 
 
-def _binfib_loop(k: int) -> tuple:
-    """(W(k), D(k)) of the order-k binary Fibonacci tree, by the recurrences
-    of wiener_binfib and d_binfib_recurrence, from order 0, the empty tree,
-    and order 1, both with W = D = 0.  At the first step, order 2, every term
-    that multiplies the empty right subtree's F(2) - 1 = 0 vertices vanishes.
-
-    Multiplied out, wiener_binfib's step is
-
-        W(i) = W(i-1) + W(i-2) + F(i+1)*D(i-2) + F(i)*D(i-1)
-               + 2*F(i)*F(i+1) - F(i) - F(i+1),
-
-    and D(i) = D(i-1) + D(i-2) + F(i) + F(i+1) - 2.  As in _fib_loop, the
-    cross products {F(i), F(i+1)} x {D(i-2), D(i-1)} and the squares and
-    product of F(i), F(i+1) are carried and rolled by sums of one another,
-    now with the affine -1 and -2 terms of D carried along as multiples of
-    F(i) and F(i+1).  A step is additions only.
-    """
-    if k < 1:
-        raise InvalidOrderError(f"binary-fibonacci order must be >= 1, got {k}")
-    w_prev2 = w_prev = 0  # W(i-2), W(i-1)
-    d_prev2 = d_prev = 0  # D(i-2), D(i-1)
-    f, fn = 1, 2  # F(i), F(i+1)
-    f_d2 = f_d1 = fn_d2 = fn_d1 = 0  # F(i)*D(i-2), F(i)*D(i-1), F(i+1)*...
-    f_f, f_fn, fn_fn = 1, 2, 4  # F(i)^2, F(i)*F(i+1), F(i+1)^2
-    for _ in range(k - 1):
-        cross = fn_d2 + f_fn - fn  # F(i+1)*(D(i-2) + F(i) - 1)
-        w = w_prev + w_prev2 + f_d1 + cross + f_fn - f
-        w_prev2, w_prev = w_prev, w
-        # Each product one order up, by D(i) = D(i-1) + D(i-2) + F(i) +
-        # F(i+1) - 2 and F(i+2) = F(i) + F(i+1).
-        fn_d = fn_d1 + cross + fn_fn - fn  # F(i+1)*D(i)
-        f_d = f_d1 + f_d2 + f_f + f_fn - f - f  # F(i)*D(i)
-        f_d2, f_d1, fn_d2, fn_d1 = fn_d1, fn_d, f_d1 + fn_d1, f_d + fn_d
-        f_f, f_fn, fn_fn = fn_fn, f_fn + fn_fn, f_f + f_fn + f_fn + fn_fn
-        d_prev2, d_prev = d_prev, d_prev + d_prev2 + f + fn - 2
-        f, fn = fn, f + fn
-    return w_prev, d_prev
-
-
 def d_binfib_recurrence(k: int) -> int:
     """Same value by iterating D(i) = D(i-1) + D(i-2) + F(i+2) - 2 from
     D(0) = D(1) = 0: both subtrees hang one edge below the fresh root,
     which adds one per vertex, F(i+2) - 2 in total."""
     if k < 1:
         raise InvalidOrderError(f"d_binfib needs k >= 1, got {k}")
-    return _binfib_loop(k)[1]
+    return next(islice(_d_values(2), k - 1, None))
 
 
 def d_binfib_convolution(k: int) -> int:
@@ -264,12 +283,18 @@ def wiener_binfib(k: int) -> int:
 
         W(i) = A + W(i-2) + F(i+1)*D(i-2) + (F(i)-1)*D_A + F(i+1)*(F(i)-1),
 
-    from W(0) = W(1) = 0.  D(i) = D_A + D(i-2) + F(i) - 1 rolls alongside W,
-    which is d_binfib_recurrence's step, and F and the products by additions
-    (see _binfib_loop), so a call costs O(k) big-integer additions and never
-    touches the closed forms.
+    from W(0) = W(1) = 0, with D from d_binfib_recurrence's loop, whose step
+    D(i) = D_A + D(i-2) + F(i) - 1 is the same composition.  Since
+    (F(i)-1)*D_A + D_A = F(i)*D_A, the step's cross term is
+    F(i+1)*(D(i-2) + F(i) - 1) + F(i)*D_A.  The step runs as written up to
+    order 10; from there _roll carries that term by additions only, 12 per
+    order, so a call costs O(k) big-integer additions and never touches the
+    closed forms.
     """
-    return _binfib_loop(k)[0]
+    if k < 1:
+        raise InvalidOrderError(f"binary-fibonacci order must be >= 1, got {k}")
+    w, state = _start(0, 2, lambda f, fn, d2, d1: fn * (d2 + f - 1) + f * (d1 + fn - 1))
+    return w[k] if k <= 10 else _roll(state, k - 10)[1]
 
 
 def wiener_binfib_closed(k: int) -> int:

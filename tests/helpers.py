@@ -237,6 +237,13 @@ else:
         return count
 
 
+def node_count_called(family, k):
+    """A stand-in for trees.node_count in tests of an order cap: a cap that
+    refuses first never calls it, and code without the cap fails here at
+    once instead of computing a node count with a billion bits."""
+    raise AssertionError(f"node_count({family.value}, {k}) ran before the order cap")
+
+
 def peak_memory(fn, *args) -> int:
     """The tracemalloc peak, in bytes, of fn(*args)."""
     tracemalloc.start()

@@ -14,7 +14,7 @@ from treewiener import cli, compose, formulas, oracle, trees
 from treewiener.errors import NotDivisibleError
 from treewiener.trees import TreeFamily
 
-from helpers import peak_memory
+from helpers import node_count_called, peak_memory
 
 # The interpreter's integer-to-string digit limit (0 = none, or Python < 3.11).
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -282,8 +282,10 @@ def test_generate_budget_error_past_digit_limit_exits_2(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("family", cli.FAMILY_CHOICES)
-def test_generate_order_past_cap_exits_2_at_once(tmp_path, capsys, family):
-    # The node count alone, F(10^9 + 2) or 2^(10^9), took seconds and memory.
+def test_generate_order_past_cap_exits_2_at_once(tmp_path, capsys, monkeypatch, family):
+    # The node count alone, F(10^9 + 2) or 2^(10^9), took seconds and memory;
+    # it is stubbed to fail, so code without the cap fails at once.
+    monkeypatch.setattr(trees, "node_count", node_count_called)
     out_file = tmp_path / "x.tree"
     t0 = time.perf_counter()
     rc, out, err = run_cli(capsys, ["generate", "--family", family, "--order",

@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from treewiener import cli, compose
+from treewiener import cli, compose, formulas
 from treewiener.compose import LIFT_DIM, replay_family, replay_w
 from treewiener.errors import InvalidOrderError
 from treewiener.exact import fib
@@ -309,12 +309,18 @@ def _poly_mul(*factors):
     return product
 
 
+def _image(poly, values):
+    """The sequence s(i) = sum of c * values[i - j] over poly's coefficients
+    c, highest degree (j = 0) first, from the len(poly)-th value on."""
+    d = len(poly) - 1
+    return [sum(c * values[i - j] for j, c in enumerate(poly))
+            for i in range(d, len(values))]
+
+
 def _annihilates(poly, values):
     """True when every len(poly) consecutive values satisfy the recurrence
     whose characteristic polynomial is poly."""
-    d = len(poly) - 1
-    return all(sum(c * values[i + d - j] for j, c in enumerate(poly)) == 0
-               for i in range(len(values) - d))
+    return not any(_image(poly, values))
 
 
 X2_X_1 = [1, -1, -1]   # x^2 - x - 1: roots phi, psi
@@ -332,52 +338,80 @@ def test_fibonacci_closed_forms_equal_recurrences_finite_proof():
     with characteristic polynomial
         Fibonacci:         P_F = (x^2-3x+1)^2 (x+1)^2 (x^2-x-1),    degree 8
         binary Fibonacci:  P_B = (x^2-3x+1)^2 (x+1)^2 (x^2-x-1)^2,  degree 10
-    (phi, psi are single roots of P_F, double roots of P_B).
+    (phi, psi are single roots of P_F, double roots of P_B), and P_F
+    divides P_B, so both satisfy P_B from k = 1 on.
 
-    Recurrence side.  Both recurrences read W(i) - W(i-1) - W(i-2) = g(i)
-    for i >= 3, with g built from F and D.  If a has root alpha of
-    multiplicity m and b root beta of multiplicity n, then a * b has root
-    alpha * beta of multiplicity <= m + n - 1, and phi * psi = -1.
-        Fibonacci: D(k) = (k F(k+2) + (k+2) F(k)) / 5 has roots phi, psi
-        double, so g = F(i+1) D(i-2) + F(i) D(i-1) + F(i+1) F(i) is
-        annihilated by (x^2-3x+1)^2 (x+1)^2, degree 6.
-        Binary Fibonacci: D(k) = ((k-3) F(k+3) + 2 (k-2) F(k+2)) / 5 + 2 has
-        roots phi, psi double and 1 single, so
-        g = D(i-1) + F(i+1) - 1 + F(i+1) D(i-2)
-            + (F(i)-1) (D(i-1) + F(i+1) - 1) + F(i+1) (F(i)-1)
-        is annihilated by (x^2-3x+1)^2 (x+1)^2 (x^2-x-1)^2 (x-1), degree 11.
-    g obeys its recurrence on windows that start at i = 3, so W obeys the
-    one of (x^2-x-1) times g's polynomial on windows that start at k = 1:
-    R_F = P_F (degree 8) and R_B = (x^2-x-1)(x-1) P_B (degree 13).
+    Recurrence side.  Both families share formulas._roll.  Up to order 10
+    each runs its own step, W(i) = W(i-1) + W(i-2) + g(i) with g built from
+    F and D; past it, the roll takes W to the next order by W's step with g
+    carried through the factors of P_B / (x^2-x-1).  Each stage of that
+    cascade is read off W(1) .. W(10) by its definition, and each is taken
+    up by the recurrence of its own factor, so the values from k = 1 on
+    satisfy P_B by construction: W(1) .. W(10) fix them, and from k = 11 on
+    each is the one P_B gives.  test_roll_stages_equal_their_definitions
+    checks every stage against its definition from W.
 
-    Both sides therefore satisfy R (P divides R) from k = 1 on, and so does
-    their difference, which is zero everywhere once it is zero at
-    k = 1..deg R: 8 orders for Fibonacci, 13 for binary Fibonacci.  The
-    Fibonacci orders -1 and 0 lie below the window and are checked
-    directly.  The loops start below each family's floor, so they also run
-    their step at i = 1, 2 (Fibonacci) and i = 2 (binary Fibonacci); the
-    argument needs the step only from i = 3, and the orders before that are
-    among those compared.  The D in g is the one d_fib_recurrence and
-    d_binfib_recurrence return, from the same loop, so criteria 3 and 4
-    (tests/test_acceptance.py) check the very D the W loops use.  The check
-    runs from the floor to k = 399, far past both bounds, plus k = 5000, and
-    confirms that P and R annihilate the values actually computed.
+    Both sides therefore satisfy P_B from k = 1 on, and so does their
+    difference, which is zero everywhere once it is zero at k = 1..10, 10
+    orders for each family.  The Fibonacci orders -1 and 0 lie below the
+    window and are checked directly.  Orders 1..10 come from each family's
+    own step, with D from the loop that d_fib_recurrence and
+    d_binfib_recurrence run, so criteria 3 and 4 (tests/test_acceptance.py)
+    check the very D the W recurrences use.  The check runs from the floor
+    to k = 399, far past the bound, plus k = 5000, and confirms that P_B
+    annihilates the values actually computed on both sides.  That these
+    values are the trees' W rests on test_closed_forms_equal_replay_finite_proof
+    below: the closed forms equal the replay of the composition at every
+    order.
     """
     p_f = _poly_mul(X2_3X_1, X2_3X_1, X_PLUS_1, X_PLUS_1, X2_X_1)
     p_b = _poly_mul(p_f, X2_X_1)
-    r_b = _poly_mul(p_b, X2_X_1, X_MINUS_1)
-    cases = [(wiener_fib_closed, wiener_fib, -1, p_f, p_f),
-             (wiener_binfib_closed, wiener_binfib, 1, p_b, r_b)]
-    for closed, recurrence, floor, p, r in cases:
+    cases = [(wiener_fib_closed, wiener_fib, -1, p_f),
+             (wiener_binfib_closed, wiener_binfib, 1, p_b)]
+    for closed, recurrence, floor, p in cases:
         orders = range(floor, 400)
         closed_values = [closed(k) for k in orders]
         recurrence_values = [recurrence(k) for k in orders]
         assert closed_values == recurrence_values
         from_one = 1 - floor
         assert _annihilates(p, closed_values[from_one:])
-        assert _annihilates(r, recurrence_values[from_one:])
+        assert _annihilates(p_b, closed_values[from_one:])
+        assert _annihilates(p_b, recurrence_values[from_one:])
         assert closed(5000) == recurrence(5000)
-    assert (len(p_f) - 1, len(p_b) - 1, len(r_b) - 1) == (8, 10, 13)
+    assert (len(p_f) - 1, len(p_b) - 1) == (8, 10)
+
+
+def test_roll_stages_equal_their_definitions(monkeypatch):
+    # Every value the roll carries, from its start at order 10 to order
+    # 200, equals its definition from W, taken from the closed form:
+    # g = (x^2-x-1) W, t = (x^2-3x+1) g, u = (x^2-3x+1) t, v = (x^2-x-1) u.
+    # The roll is run one order at a time, from the state the W recurrence
+    # itself hands it.
+    real_roll = formulas._roll
+    states = []
+
+    def recording_roll(state, steps):
+        for _ in range(steps):
+            states.append(state)
+            state = real_roll(state, 1)
+        states.append(state)
+        return state
+
+    monkeypatch.setattr(formulas, "_roll", recording_roll)
+    for closed, recurrence in ((wiener_fib_closed, wiener_fib),
+                               (wiener_binfib_closed, wiener_binfib)):
+        w = [closed(k) for k in range(1, 201)]  # w[i - 1] is W(i)
+        g = [None] * 2 + _image(X2_X_1, w)  # g[i - 1] is g(i), from i = 3
+        t = [None] * 4 + _image(X2_3X_1, g[2:])
+        u = [None] * 6 + _image(X2_3X_1, t[4:])
+        v = [None] * 8 + _image(X2_X_1, u[6:])
+        states.clear()
+        assert recurrence(200) == w[-1]
+        assert len(states) == 191
+        for i, state in enumerate(states, start=10):
+            j = i - 1
+            assert state == (w[j - 1], w[j], g[j], g[j] - g[j - 1], t[j], t[j] - t[j - 1],
+                             u[j - 1], u[j], v[j - 1], v[j]), f"{recurrence.__name__} i={i}"
 
 
 def test_closed_forms_equal_replay_finite_proof():
@@ -473,11 +507,34 @@ def _wiener_fib_fib_per_step(k):
 
 
 def test_count_arithmetic_measures_the_fibonacci_step():
-    # Per step: 4 additions for W (one shared with the products), 2 for D,
-    # 1 for F, 6 to roll the four F*D cross products and 4 the three F*F
-    # products; the range loop and the order check are no arithmetic.
+    # Up to order 10 both W recurrences run only their start, a fixed count
+    # of operations on small integers.  Each order past it is one step of
+    # formulas._roll, 12 operations:
+    #   v(i) = -2 v(i-1) - v(i-2)             2 (the negation is unary)
+    #   u(i) = u(i-1) + u(i-2) + v(i)         2
+    #   t(i) - t(i-1), then t(i)              2 + 1
+    #   g(i) - g(i-1), then g(i)              2 + 1
+    #   W(i) = W(i-1) + W(i-2) + g(i)         2
+    # The range loop and the order check are no arithmetic.
+    for fn, floor in ((wiener_fib, -1), (wiener_binfib, 1)):
+        start = {count_arithmetic(fn, k) for k in range(floor, 11)}
+        assert len(start) == 1 and max(start) < 250, f"{fn.__name__}: {start}"
+        base = count_arithmetic(fn, 11) - 12
+        for k in list(range(11, 51)) + [800]:
+            assert count_arithmetic(fn, k) == base + 12 * (k - 10), f"{fn.__name__} k={k}"
+
+
+def test_d_recurrences_roll_d_and_f_alone():
+    # 4 additions per order, 2 for D(i) = D(i-1) + D(i-2) + s(i) and 2 for
+    # s(i) = s(i-1) + s(i-2) + c, with no product; d_binfib_recurrence adds
+    # one subtraction, k - 1, to find its order's place in the loop.
     for k in list(range(1, 51)) + [800]:
-        assert count_arithmetic(wiener_fib, k) == 16 * k, f"k={k}"
+        assert count_arithmetic(d_fib_recurrence, k) == 4 * k, f"k={k}"
+        assert count_arithmetic(d_binfib_recurrence, k) == 4 * (k - 1) + 1, f"k={k}"
+    for fn in (d_fib_recurrence, d_binfib_recurrence):
+        assert count_arithmetic(fn, 800, operators={"*"}) == 0
+    assert d_fib_recurrence(11_500) == d_fib(11_500)
+    assert d_binfib_recurrence(11_500) == d_binfib(11_500)
 
 
 def test_count_arithmetic_counts_chosen_operators():

@@ -29,7 +29,7 @@ from treewiener.trees import (
     _parse_lines,
 )
 
-from helpers import peak_memory, random_tree, reference_tree, shape
+from helpers import node_count_called, peak_memory, random_tree, reference_tree, shape
 
 
 def subtree_size(tree, v):
@@ -221,13 +221,16 @@ def test_invalid_orders():
 
 
 @pytest.mark.parametrize("family", list(TreeFamily), ids=lambda f: f.value)
-def test_generate_refuses_an_order_past_the_cap_at_once(family):
-    # Refused before the node count, 2^(10^9) or F(10^9 + 2), is computed.
+def test_generate_refuses_an_order_past_the_cap_at_once(family, monkeypatch):
+    # Refused before the node count, 2^(10^9) or F(10^9 + 2), is computed:
+    # node_count is stubbed to fail, so code without the cap fails at once.
     # At the cap itself the node budget refuses the tree instead.
-    t0 = time.perf_counter()
-    with pytest.raises(InvalidOrderError) as exc:
-        generate(family, 10**9)
-    assert time.perf_counter() - t0 < 1.0
+    with monkeypatch.context() as patch:
+        patch.setattr(trees, "node_count", node_count_called)
+        t0 = time.perf_counter()
+        with pytest.raises(InvalidOrderError) as exc:
+            generate(family, 10**9)
+        assert time.perf_counter() - t0 < 1.0
     assert str(exc.value) == (f"order 1000000000 exceeds the cap of "
                               f"{trees.MAX_LINEAR_ORDER} on the order of a generated tree")
     with pytest.raises(ResourceLimitError):
