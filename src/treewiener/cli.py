@@ -134,27 +134,37 @@ def _render_table(rows: list, out) -> None:
               file=out)
 
 
+def _print_json(obj) -> None:
+    """Print obj to stdout as one line of JSON: the output of every --json
+    branch."""
+    # Imported where used: only the --json branches need json, and
+    # importing it is a measurable share of a command's start-up.
+    import json
+    print(json.dumps(obj))
+
+
 def _print_rows(as_json: bool, head: dict, columns: dict, entries: list,
-                tail: dict) -> None:
-    """Print a sweep's entries to stdout, as one JSON object or a table.
+                tail: dict, footer: list) -> None:
+    """Print a sweep's entries to stdout, as one JSON object or a table:
+    the one place that decides what a sweep prints there in either form.
 
     In JSON the object is head, then "entries", then tail; every integer in
     an entry except its order is a decimal string.  The table shows the
-    entry keys in columns under their headers, with "-" for None.  Every
+    entry keys in columns under their headers, with "-" for None, and then
+    the lines of footer, which stand for tail in the table's form.  Every
     cell is rendered before anything is printed.
     """
     if as_json:
-        # Imported where used: only the two --json branches need json, and
-        # importing it is a measurable share of a command's start-up.
-        import json
         rows = [{key: _decimal(v) if isinstance(v, int) and key != "order" else v
                  for key, v in e.items()} for e in entries]
-        print(json.dumps({**head, "entries": rows, **tail}))
+        _print_json({**head, "entries": rows, **tail})
         return
     rows = [list(columns.values())]
     for e in entries:
         rows.append(["-" if e[key] is None else _decimal(e[key]) for key in columns])
     _render_table(rows, sys.stdout)
+    for line in footer:
+        print(line)
 
 
 def _timed(fn, *args) -> tuple:
@@ -181,9 +191,8 @@ def cmd_closed_form(args) -> int:
         _check_order(k, MAX_LINEAR_ORDER, "order", "the recurrence and replay routes")
     value = _decimal(ROUTES[args.method](family, k))
     if args.json:
-        import json
-        print(json.dumps({"family": family.value, "order": k,
-                          "method": args.method, "value": value}))
+        _print_json({"family": family.value, "order": k,
+                     "method": args.method, "value": value})
     else:
         print(value)
     return 0
@@ -227,17 +236,23 @@ def cmd_verify(args) -> int:
     head = {"family": family.value, "max_order": args.max_order,
             "node_budget": args.node_budget}
     tail = {"all_match": all_match}
+    footer = ["result: " + ("all match" if all_match else "MISMATCH")]
     if note:
         tail["note"] = note
+        footer.insert(0, note)
     columns = {"order": "order", "nodes": "nodes", "formula_value": "formula",
                "replay_value": "replay", "oracle_value": "oracle",
                "status": "status"}
-    _print_rows(args.json, head, columns, entries, tail)
-    if not args.json:
-        if note:
-            print(note)
-        print("result:", "all match" if all_match else "MISMATCH")
+    _print_rows(args.json, head, columns, entries, tail, footer)
     return 0 if all_match else 1
+
+
+# bench's timed tiers, in column order, each key to the route or oracle
+# whose time it reports: under the key in each JSON entry's "seconds", and
+# in the "<key>_s" column of the stderr table.  A tier that did not run
+# reports None there, or "-".
+_BENCH_TIERS = {"closed_form": "closed", "replay": "replay",
+                "linear": "linear", "bfs": "bfs"}
 
 
 def cmd_bench(args) -> int:
@@ -245,9 +260,8 @@ def cmd_bench(args) -> int:
     entries = []
     for k, n, ran in _sweep(family, args.max_order, args.node_budget, args.bfs_budget,
                             ("closed", "replay")):
-        seconds = {key: ran[route][1] if route in ran else None for key, route in
-                   (("closed_form", "closed"), ("replay", "replay"),
-                    ("linear", "linear"), ("bfs", "bfs"))}
+        seconds = {key: ran[route][1] if route in ran else None
+                   for key, route in _BENCH_TIERS.items()}
         entries.append({
             "order": k, "nodes": n, "value": ran["closed"][0],
             "linear": "ran" if "linear" in ran else "skipped",
@@ -257,10 +271,10 @@ def cmd_bench(args) -> int:
     head = {"family": family.value, "max_order": args.max_order}
     columns = {"order": "order", "nodes": "nodes", "value": "wiener",
                "linear": "linear", "bfs": "bfs"}
-    _print_rows(args.json, head, columns, entries, {})
+    _print_rows(args.json, head, columns, entries, {}, [])
     if not args.json:
         # Deterministic surface on stdout; wall times go to stderr.
-        trows = [["order", "closed_form_s", "replay_s", "linear_s", "bfs_s"]]
+        trows = [["order"] + [f"{key}_s" for key in _BENCH_TIERS]]
         for e in entries:
             trows.append([str(e["order"])] + ["-" if t is None else f"{t:.6f}"
                                               for t in e["seconds"].values()])

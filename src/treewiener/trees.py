@@ -399,13 +399,14 @@ def parse(text: bytes | str, max_nodes: int | None = None) -> RootedTree:
     text is a file's bytes, or a str, which is encoded once, as UTF-8 with
     surrogatepass, so that every str has bytes.  Bytes in serialize's exact
     form, or in that form with CRLF after every line, are read and checked
-    in bulk (_parse_canonical).  Every other text, and every text the bulk
-    checks reject, is read line by line (_parse_lines) from the same bytes.
-    _parse_lines alone raises ParseError, so each input gets the same tree
-    or the same error whichever way it is read.  A header n past max_nodes,
-    when given, is refused with ResourceLimitError before anything is sized
-    by it.  So is one past MAX_TREE_NODES, the most nodes 'i' ids can
-    number, once the text has as many lines as it claims.
+    in bulk (_parse_canonical), which only accelerates: it returns the tree
+    or None, and never raises.  Every other text, and every text the bulk
+    checks decline, is read line by line (_parse_lines) from the same
+    bytes, and _parse_lines alone decides every error, so each input gets
+    the same tree or the same error whichever way it is read.  A header n
+    past max_nodes, when given, is refused with ResourceLimitError before
+    anything is sized by it.  So is one past MAX_TREE_NODES, the most nodes
+    'i' ids can number, once the text has as many lines as it claims.
     """
     if isinstance(text, str):
         text = text.encode("utf-8", "surrogatepass")
@@ -464,18 +465,20 @@ _COMMAS = bytes.maketrans(b" \n", b",,")
 
 def _parse_canonical(data: bytes, max_nodes: int | None = None):
     """The tree that bytes in serialize's form describe, or None for bytes
-    in any other form or ones that are not a tree.
+    in any other form, ones that are not a tree, or a header past
+    max_nodes or MAX_TREE_NODES.  It never raises: parse hands every text
+    it declines to _parse_lines, which decides the error.
 
     serialize's form is a header line of digits, then edge lines of two
     digit runs split by one space, each line ending in LF; here every line
     may instead end in CRLF, as the header's ending says.  The header n
     comes from json.loads, which rejects leading zeros and integers past
-    the digit limit (None then), and the bytes must end with an LF and
-    hold exactly n LFs, n - 1 edge lines, and n must pass _check_nodes,
-    before anything is sized by n.  The edge lines are then read
-    _PARSE_SLICE bytes of whole lines at a time.  A slice with its digits
-    deleted must be the separators of its lines, " \n" (or " \r\n") once
-    per line, so every separator is in place; one translate then turns
+    the digit limit, and must pass _check_nodes, and the bytes must end
+    with an LF and hold exactly n LFs, n - 1 edge lines, before anything is
+    sized by n; a check that fails gives None.  The edge lines are then
+    read _PARSE_SLICE bytes of whole lines at a time.  A slice with its
+    digits deleted must be the separators of its lines, " \n" (or " \r\n")
+    once per line, so every separator is in place; one translate then turns
     them into commas for one json.loads, which refuses an empty field, a
     leading zero, or a run past the digit limit.  Every id is checked below
     n, the parent ids are scattered into parent[] at the child ids, which
@@ -501,17 +504,11 @@ def _parse_canonical(data: bytes, max_nodes: int | None = None):
     import json
     try:
         n = json.loads(header)
-    except ValueError:
+        _check_nodes(n, max_nodes)
+    except (ValueError, ResourceLimitError):
         return None
     if data.count(b"\n") != n:
         return None
-    try:
-        _check_nodes(n, max_nodes)
-    except ResourceLimitError:
-        # The line reader reports a rejected byte first, as a ParseError.
-        if _rejected(data) is not None:
-            return None
-        raise
     parent = array("i", [ROOT_PARENT]) * n
     kids = array("i")
     last = 0  # the last parent id read, or None once one fell
@@ -597,7 +594,8 @@ def _breaks(data: bytes, end: int) -> int:
 
 def _parse_lines(text: bytes, max_nodes: int | None = None) -> RootedTree:
     """parse, one line at a time, for any bytes: the reference the bulk
-    path must agree with, and the only source of ParseError.
+    path must agree with, and the only source of parse's errors, ParseError
+    and ResourceLimitError alike.
 
     Detected first, over the whole input: a sign, an underscore, a control
     character among VT, FF and 0x1c-0x1f, or a byte outside ASCII, reported

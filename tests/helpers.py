@@ -188,6 +188,22 @@ def count_arithmetic(fn, *args, operators=None) -> int:
     return _run_counting(fn, args, counted)
 
 
+def per_order_increments(fn, orders=(100, 200, 400, 800)) -> tuple:
+    """({k: ops(k + 1) - ops(k)} at each of orders, and the mean increment
+    across them, (ops(last) - ops(first)) / (last - first)), where ops(k)
+    is count_arithmetic(fn, k).  An O(k) route adds one and the same
+    positive count at every order, and that much on average, however much
+    it spends once, before its first step.  An O(k log k) route adds more
+    at the higher orders, an O(1) one nothing, and an O(log k) one less on
+    average than at some single order."""
+    ops = {}
+    for k in orders:
+        ops[k], ops[k + 1] = count_arithmetic(fn, k), count_arithmetic(fn, k + 1)
+    first, last = orders[0], orders[-1]
+    return ({k: ops[k + 1] - ops[k] for k in orders},
+            (ops[last] - ops[first]) / (last - first))
+
+
 if hasattr(sys, "monitoring"):
     def _run_counting(fn, args, counted) -> int:
         mon = sys.monitoring

@@ -30,7 +30,7 @@ from treewiener.trees import (
     node_count,
 )
 
-from helpers import count_arithmetic, random_tree
+from helpers import per_order_increments, random_tree
 
 
 @contextmanager
@@ -168,14 +168,11 @@ def test_criterion_7_composition_algebra_soundness():
 
 def test_criterion_8_logarithmic_cost_property():
     with criterion(8, "fibonacci Wiener evaluator cost grows linearly in k "
-                      "(ratios within 10%) and k=500 runs under 1 s"):
-        counts = {k: count_arithmetic(wiener_fib, k) for k in (100, 200, 400, 800)}
-        for small, big in ((100, 200), (200, 400), (400, 800)):
-            observed = counts[big] / counts[small]
-            expected = big / small
-            assert abs(observed - expected) <= 0.1 * expected, (
-                f"ops({big})/ops({small}) = {observed:.3f}"
-            )
+                      "(one more order adds the same positive count of "
+                      "operations at k = 100 to 800) and k=500 runs under 1 s"):
+        steps, mean = per_order_increments(wiener_fib)
+        assert mean > 0 and set(steps.values()) == {mean}, (
+            f"ops(k + 1) - ops(k) = {steps}, {mean} on average")
         start = time.perf_counter()
         wiener_fib(500)
         assert time.perf_counter() - start < 1.0

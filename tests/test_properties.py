@@ -7,21 +7,23 @@
   decimal line on stdout, or exit 2 with an error on stderr, never a
   traceback.
 * parse, which reads serialize's exact form in bulk, agrees with the
-  per-line reader on every input: the same tree for any layout of a valid
-  edge list, and the same ParseError for an invalid one.
+  per-line reader on every input and node budget: the same tree for any
+  layout of a valid edge list, the same ParseError for an invalid one, and
+  the same ResourceLimitError past the budget.  The bulk reader only
+  accelerates: it returns the per-line reader's tree or None, and never
+  raises.
 """
 
 import contextlib
 import io
 from unittest import mock
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treewiener import cli, trees
 from treewiener.compose import SINGLE, identify, join
-from treewiener.errors import ParseError
+from treewiener.errors import ParseError, ResourceLimitError, TreeWienerError
 from treewiener.oracle import distance_sum, wiener_linear
 from treewiener.trees import (
     ROOT_PARENT, RootedTree, _parse_canonical, _parse_lines, parse, serialize)
@@ -133,23 +135,55 @@ def parse_slices(chars):
     return mock.patch.object(trees, "_PARSE_SLICE", chars)
 
 
+def node_budgets(n):
+    """A node budget below n, or one of at least n."""
+    return st.one_of(st.integers(0, n - 1), st.integers(n, 2 * n))
+
+
+def arrays(tree) -> tuple:
+    return tree.n, tree.root, tree.parent, tree.kids, tree.children
+
+
+def outcome(read, text, budget) -> tuple:
+    """read(text, budget) as the tree's arrays, or as the type and message
+    of the error it raised."""
+    try:
+        return arrays(read(text, budget))
+    except TreeWienerError as exc:
+        return type(exc), str(exc)
+
+
+def read_three_ways(text: str, budget, chars):
+    """(bulk, ref): what _parse_canonical returns and what _parse_lines
+    gives on text under budget, once it is checked that the bulk reader
+    raised nothing and gave None or the reference tree, and that parse
+    gave the reference tree or raised the reference error."""
+    with parse_slices(chars):
+        bulk = _parse_canonical(text.encode(), budget)
+        got = outcome(parse, text, budget)
+    ref = outcome(_parse_lines, text.encode(), budget)
+    assert bulk is None or arrays(bulk) == ref
+    assert got == ref
+    return bulk, ref
+
+
 @settings(deadline=None, max_examples=300)
 @given(edge_lists(40), st.sets(st.sampled_from(LAYOUTS)),
-       st.randoms(use_true_random=False), PARSE_SLICES)
-def test_parse_matches_per_line_reader(case, layout, rng, chars):
+       st.randoms(use_true_random=False), PARSE_SLICES, st.data())
+def test_parse_matches_per_line_reader(case, layout, rng, chars, data):
     n, edges = case
     text = render(n, edges, layout, rng)
-    with parse_slices(chars):
-        # The bulk path reads exactly the texts in serialize's form, with
-        # every line ending in LF or every line in CRLF.
-        canonical = plain(n, edges)
-        assert (_parse_canonical(text.encode()) is not None) == (
-            text in (canonical, canonical.replace("\n", "\r\n")))
-        got = parse(text)
-    ref = _parse_lines(text.encode())
-    assert all(ref.parent[c] == p for p, c in edges)
-    assert (got.n, got.root, got.parent, got.kids, got.children) == (
-        ref.n, ref.root, ref.parent, ref.kids, ref.children)
+    budget = data.draw(node_budgets(n), label="budget")
+    bulk, ref = read_three_ways(text, budget, chars)
+    # The bulk path reads exactly the texts in serialize's form, with
+    # every line ending in LF or every line in CRLF, within the budget.
+    canonical = plain(n, edges)
+    assert (bulk is not None) == (
+        budget >= n and text in (canonical, canonical.replace("\n", "\r\n")))
+    if budget < n:
+        assert ref == (ResourceLimitError, str(ResourceLimitError(n, budget)))
+    else:
+        assert all(ref[2][c] == p for p, c in edges)  # ref[2]: parent
 
 
 def _descendants(edges, v) -> list:
@@ -171,6 +205,8 @@ MUTATIONS = ("duplicate line", "out-of-range id", "self-loop", "cycle",
 @settings(deadline=None, max_examples=300)
 @given(edge_lists(40, min_n=3), st.sampled_from(MUTATIONS), st.data(), PARSE_SLICES)
 def test_parse_rejects_like_per_line_reader(case, mutation, data, chars):
+    # Under a budget below n the line reader refuses the header before it
+    # reads an edge, so the error is the budget's.
     n, edges = case
     i = data.draw(st.integers(0, len(edges) - 1), label="line")
     p, c = edges[i]
@@ -196,11 +232,7 @@ def test_parse_rejects_like_per_line_reader(case, mutation, data, chars):
         q = data.draw(st.sampled_from([u for u in range(n) if u not in (c2, p2)]),
                       label="second parent")
         edges[i] = (q, c2)
-    text = plain(n, edges)
-    with pytest.raises(ParseError) as ref:
-        _parse_lines(text.encode())
-    with parse_slices(chars):
-        assert _parse_canonical(text.encode()) is None
-        with pytest.raises(ParseError) as got:
-            parse(text)
-    assert (got.value.line, got.value.reason) == (ref.value.line, ref.value.reason)
+    budget = data.draw(node_budgets(n), label="budget")
+    bulk, ref = read_three_ways(plain(n, edges), budget, chars)
+    assert bulk is None
+    assert ref[0] is (ParseError if budget >= n else ResourceLimitError)
