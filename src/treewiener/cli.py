@@ -15,6 +15,12 @@ All numeric output is exact decimal; JSON mode renders integers as decimal
 strings because the values outgrow every fixed-width type.  Stdout is
 byte-deterministic for identical invocations; bench writes its wall-clock
 numbers to stderr (text mode) or into a dedicated "seconds" field (JSON).
+
+main builds a parser on every call, and at small orders building it costs
+more than the evaluation, so it adds only the named subcommand's arguments
+(build_parser(command)).  Every subcommand is still registered with its
+help, so --help, usage lines and error messages are those of the parser
+with every argument.
 """
 
 import argparse
@@ -51,8 +57,9 @@ FAMILY_CHOICES = [f.value for f in TreeFamily]
 MAX_RESULT_BITS = 1 << 23
 # MAX_LINEAR_ORDER, trees.generate's cap on the order of a tree, also caps k
 # for the recurrence and replay routes.  The recurrence's O(k) additions on
-# integers that grow with k take time that grows like k^2: 0.13-0.38 s at
-# the cap (Python 3.11, in process, best of 3, decimal output included).
+# integers that grow with k take time that grows like k^2: 0.05-0.06 s for
+# binomial and 0.38-0.45 s for the two Fibonacci families at the cap
+# (Python 3.11, in process, best of 3, two runs, decimal output included).
 # Replay takes 0.03-0.08 s there (Python 3.11, one run per family, decimal
 # output included) and keeps the cap, so both routes refuse the same
 # orders.
@@ -286,49 +293,56 @@ def cmd_bench(args) -> int:
 # Parser wiring
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+_FAMILY = ("--family", {"required": True, "choices": FAMILY_CHOICES})
+_ORDER = ("--order", {"required": True, "type": int})
+_MAX_ORDER = ("--max-order", {"required": True, "type": int})
+_MAX_NODES = ("--max-nodes", {"type": int, "default": DEFAULT_NODE_BUDGET})
+_NODE_BUDGET = ("--node-budget", {"type": int, "default": 10**6})
+_JSON = ("--json", {"action": "store_true"})
+
+# Every subcommand, in the order --help lists them: name -> (help, the name
+# of its handler, its arguments, each (option, add_argument keywords)).  The
+# handler is looked up when a parser is built, so replacing a module
+# attribute reaches it.
+COMMANDS = {
+    "closed-form": ("evaluate W(family, order)", "cmd_closed_form", [
+        _FAMILY, _ORDER, ("--method", {"choices": list(ROUTES), "default": "closed"}),
+        _JSON]),
+    "generate": ("write a tree as an edge-list file", "cmd_generate", [
+        _FAMILY, _ORDER, ("--out", {"required": True}), _MAX_NODES]),
+    "compute": ("Wiener index of an edge-list file", "cmd_compute", [
+        ("--in", {"dest": "input", "required": True}),
+        ("--algo", {"choices": ["bfs", "linear"], "default": "linear"}), _MAX_NODES]),
+    "verify": ("cross-validate formulas against oracles", "cmd_verify", [
+        _FAMILY, _MAX_ORDER, _NODE_BUDGET, _JSON]),
+    "bench": ("time formula vs linear vs quadratic tiers", "cmd_bench", [
+        _FAMILY, _MAX_ORDER, _NODE_BUDGET,
+        ("--bfs-budget", {"type": int, "default": MAX_BFS_NODES}), _JSON]),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The treewiener parser.  Every subcommand is registered with its help,
+    so --help, usage lines and errors read the same whatever command is.
+    Only the subparser named command gets its arguments and handler, or
+    every subparser when command is None or names no subcommand.
+
+    parse_args reads only the arguments of the subcommand it picks, and
+    adding arguments is most of what building the parser costs: main,
+    which builds one per call, names its command to skip the others'.
+    build_parser() with no command builds the whole parser."""
     parser = argparse.ArgumentParser(
         prog="treewiener",
         description="Exact Wiener indices of binomial, Fibonacci, and binary "
                     "Fibonacci trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("closed-form", help="evaluate W(family, order)")
-    p.add_argument("--family", required=True, choices=FAMILY_CHOICES)
-    p.add_argument("--order", required=True, type=int)
-    p.add_argument("--method", choices=list(ROUTES), default="closed")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_closed_form)
-
-    p = sub.add_parser("generate", help="write a tree as an edge-list file")
-    p.add_argument("--family", required=True, choices=FAMILY_CHOICES)
-    p.add_argument("--order", required=True, type=int)
-    p.add_argument("--out", required=True)
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("compute", help="Wiener index of an edge-list file")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--algo", choices=["bfs", "linear"], default="linear")
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET)
-    p.set_defaults(func=cmd_compute)
-
-    p = sub.add_parser("verify", help="cross-validate formulas against oracles")
-    p.add_argument("--family", required=True, choices=FAMILY_CHOICES)
-    p.add_argument("--max-order", required=True, type=int)
-    p.add_argument("--node-budget", type=int, default=10**6)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="time formula vs linear vs quadratic tiers")
-    p.add_argument("--family", required=True, choices=FAMILY_CHOICES)
-    p.add_argument("--max-order", required=True, type=int)
-    p.add_argument("--node-budget", type=int, default=10**6)
-    p.add_argument("--bfs-budget", type=int, default=MAX_BFS_NODES)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bench)
-
+    for name, (help_, handler, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if name == command or command not in COMMANDS:
+            for option, keywords in arguments:
+                p.add_argument(option, **keywords)
+            p.set_defaults(func=globals()[handler])
     return parser
 
 
@@ -340,7 +354,12 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        # The top-level parser takes no option with a value, so the first
+        # token not starting with "-" is the only known command parse_args
+        # can pick.
+        command = next((a for a in (sys.argv[1:] if argv is None else argv)
+                        if not a.startswith("-")), None)
+        args = build_parser(command).parse_args(argv)
     finally:
         if collecting:
             gc.enable()

@@ -76,14 +76,16 @@ def wiener_binomial(k: int) -> int:
 
 
 def wiener_binomial_recurrence(k: int) -> int:
-    """Same value by iterating W(i) = 2 * W(i-1) + i * 2^(2i-2) from W(0) = 0,
-    both products as shifts."""
+    """Same value by the recurrence W(i) = 2 * W(i-1) + i * 4^(i-1) from
+    W(0) = 0, iterated on X(i) = W(i) / 2^(i-1): X(i) = X(i-1) + i * 2^(i-1),
+    so each step adds an i-bit shift where W's would add a 2i-bit one, and
+    W(k) = X(k) * 2^(k-1) is one shift at the end."""
     if k < 0:
         raise InvalidOrderError(f"binomial order must be >= 0, got {k}")
-    w = 0
+    x = 0
     for i in range(1, k + 1):
-        w = (w << 1) + (i << (i + i - 2))
-    return w
+        x += i << (i - 1)
+    return x << (k - 1) if k else 0
 
 
 # ---------------------------------------------------------------------------

@@ -749,6 +749,74 @@ def test_main_keeps_the_collector_as_it_found_it(capsys, argv):
         gc.enable()
 
 
+def _parsed(capsys, parse, argv) -> tuple:
+    """What parse(argv) gives: its namespace, or the SystemExit code, then
+    the stdout and stderr it wrote."""
+    try:
+        outcome = ("namespace", vars(parse(argv)))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    return outcome + tuple(capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv,command", [
+    ([], None),
+    (["-h"], None),
+    *[([name, "-h"], name) for name in cli.COMMANDS],
+    (["closed-form", "--family", "binomial", "--order", "5"], "closed-form"),
+    (["compute", "--in", "t.tree"], "compute"),
+    (["bench", "--family", "fibonacci", "--max-order", "9", "--json"], "bench"),
+    (["treewiener", "--order", "5"], "treewiener"),  # an unknown command
+    (["--family", "binomial", "closed-form"], "binomial"),  # an option before it
+    (["verify", "--family", "fibonacci", "--max-order", "4", "extra"], "verify"),
+    (["closed-form", "--family", "path", "--order", "5"], "closed-form"),  # a bad choice
+    (["generate", "--family", "binomial", "--order", "x", "--out", "t"], "generate"),
+    (["generate", "--family", "binomial", "--order", "5"], "generate"),  # no --out
+    (["verify", "--fam", "binomial", "--max-o", "4", "--node", "9"], "verify"),
+    (["compute", "--in", "t.tree", "--al", "bfs", "--max-n", "7"], "compute"),
+    (["--", "closed-form", "--family", "binomial", "--order", "5"], "closed-form"),
+    (["generate", "--family", "fibonacci", "--order", "3", "--out", "verify"], "generate"),
+])
+def test_main_builds_only_the_named_commands_arguments(capsys, monkeypatch, argv, command):
+    # main builds only the subparser of the first token that does not start
+    # with "-", which is the command argparse picks: its namespace, or its
+    # exit code, stdout and stderr, are those of the parser with every
+    # command's arguments.
+    built, ran = [], []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or real(command))
+    for _, handler, _ in cli.COMMANDS.values():
+        monkeypatch.setattr(cli, handler, lambda args: ran.append(args) or 0)
+    whole = _parsed(capsys, real().parse_args, argv)
+    lean = _parsed(capsys, lambda argv: cli.main(argv) == 0 and ran[-1], argv)
+    assert built == [command]
+    assert lean == whole
+    assert whole[0] == "exit" or whole[1]["command"] == command
+
+
+def _subparser_options(parser) -> dict:
+    """{subcommand: its option strings, and its handler or None}."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: ({o for a in p._actions for o in a.option_strings}, p.get_default("func"))
+            for name, p in sub.choices.items()}
+
+
+def test_parser_for_one_command_adds_only_its_arguments():
+    # benchmarks/run.py times build_parser() with no command, which still
+    # adds every subcommand's arguments and handler.
+    whole = _subparser_options(cli.build_parser())
+    assert list(whole) == list(cli.COMMANDS)
+    for name, (_, handler, arguments) in cli.COMMANDS.items():
+        options = {"-h", "--help"} | {option for option, _ in arguments}
+        assert whole[name] == (options, getattr(cli, handler))
+    assert _subparser_options(cli.build_parser("no-such-command")) == whole
+    lean = _subparser_options(cli.build_parser("closed-form"))
+    assert list(lean) == list(cli.COMMANDS)
+    assert lean["closed-form"] == whole["closed-form"]
+    for name in cli.COMMANDS.keys() - {"closed-form"}:
+        assert lean[name] == ({"-h", "--help"}, None)
+
+
 def test_import_loads_no_process_pool():
     # Every command starts by importing the CLI; it needs no worker pool,
     # no dataclass machinery (dataclasses pulls in inspect), and no json,
